@@ -46,7 +46,7 @@ cfg2.nm_list = (10, 20, 30)
 
 mesh = build_structured_square_mesh(cfg2.n_per_side)
 print(f"\n2D front on the unit square, {mesh.n_nodes} vertices, nu=50")
-report2 = run_experiment(cfg2, threads=3)
+report2 = run_experiment(cfg2)
 for nm, msg in report2.errors.items():
     print(f"  modes={nm} failed: {msg}")
 print("  modes   mean eps_L2   final eps_L2")

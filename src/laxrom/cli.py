@@ -5,8 +5,8 @@
     laxrom scsa CONFIG       static signal representation study
     laxrom frobenius CONFIG  residual-norm comparison against a reference N_M
 
-All subcommands share --out (override the configured output directory),
---threads (parallel mode counts) and --verbose.
+All subcommands share --out (override the configured output directory)
+and --verbose.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .harness import (
 def _add_common(sub):
     sub.add_argument("config", help="experiment configuration file (INI)")
     sub.add_argument("--out", help="output directory (overrides the config)")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads across mode counts (default 1)")
     sub.add_argument("--verbose", action="store_true", help="progress output")
 
 
@@ -61,12 +59,12 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            report = run_experiment(cfg, verbose=args.verbose, threads=args.threads)
+            report = run_experiment(cfg, verbose=args.verbose)
             for nm, msg in sorted(report.errors.items()):
                 print(f"error: N_M={nm}: {msg}", file=sys.stderr)
             return 1 if report.errors else 0
         if args.command == "sweep":
-            reports = run_chi_sweep(cfg, verbose=args.verbose, threads=args.threads)
+            reports = run_chi_sweep(cfg, verbose=args.verbose)
             bad = {
                 (chi, nm): msg
                 for chi, rep in reports.items()

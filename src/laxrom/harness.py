@@ -11,7 +11,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,7 +27,7 @@ from .mesh import (
 )
 from .models import AdvectionModel, FkppModel, KdvEigenModel, KdvSolitonModel
 from .reconstruct import propagate_basis, reconstruct_nodal
-from .reference import advection_exact, fkpp_reference, kdv_n_soliton, kdv_one_soliton
+from .reference import fkpp_reference, kdv_n_soliton, kdv_one_soliton
 from .scsa import chi_sweep, read_signal_csv, shift_nonnegative
 
 __all__ = [
@@ -170,6 +169,11 @@ def load_config(path) -> ExperimentConfig:
     grab("scsa", "n_modes_cap", int)
     grab("scsa", "methods", lambda s: tuple(t.strip() for t in s.split(",")))
     grab("sweep", "chi_grid", _floats)
+    if cfg.problem != "scsa":
+        try:
+            cfg.solver().n_steps()
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     cfg.source_path = str(path)
     cfg.source_hash = hashlib.sha256(raw.encode()).hexdigest()
@@ -391,7 +395,7 @@ def _run_one_nm(cfg, basis_full, model, law, u0, ref, nm, out_dir, verbose):
     return row, traj
 
 
-def run_experiment(cfg: ExperimentConfig, verbose: bool = False, threads: int = 1) -> MetricsReport:
+def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> MetricsReport:
     """Run one configured experiment over its nm_list and write its tables.
 
     Per N_M failures are recorded in the report and do not stop the other
@@ -415,26 +419,12 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False, threads: int = 
               f"modes up to {nm_max}")
 
     report = MetricsReport(problem=cfg.problem, out_dir=out_dir)
-
-    def work(nm):
-        return _run_one_nm(cfg, basis_full, model, law, u0, ref, nm, out_dir, verbose)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {nm: pool.submit(work, nm) for nm in cfg.nm_list}
-            for nm in cfg.nm_list:
-                try:
-                    row, _ = futures[nm].result()
-                    report.rows.append(row)
-                except Exception as exc:  # noqa: BLE001 - reported per N_M
-                    report.errors[nm] = f"{type(exc).__name__}: {exc}"
-    else:
-        for nm in cfg.nm_list:
-            try:
-                row, _ = work(nm)
-                report.rows.append(row)
-            except Exception as exc:  # noqa: BLE001 - reported per N_M
-                report.errors[nm] = f"{type(exc).__name__}: {exc}"
+    for nm in cfg.nm_list:
+        try:
+            row, _ = _run_one_nm(cfg, basis_full, model, law, u0, ref, nm, out_dir, verbose)
+            report.rows.append(row)
+        except Exception as exc:  # noqa: BLE001 - reported per N_M
+            report.errors[nm] = f"{type(exc).__name__}: {exc}"
 
     if out_dir is not None:
         table = np.array(
@@ -569,7 +559,7 @@ def run_scsa(cfg: ExperimentConfig, verbose: bool = False):
     return results
 
 
-def run_chi_sweep(cfg: ExperimentConfig, verbose: bool = False, threads: int = 1):
+def run_chi_sweep(cfg: ExperimentConfig, verbose: bool = False):
     """Repeat a dynamic experiment for every chi in chi_grid.
 
     Each chi runs in its own subdirectory of out_dir; the combined table
@@ -592,7 +582,7 @@ def run_chi_sweep(cfg: ExperimentConfig, verbose: bool = False, threads: int = 1
         )
         if verbose:
             print(f"[sweep] chi = {chi:g}")
-        rep = run_experiment(sub, verbose=verbose, threads=threads)
+        rep = run_experiment(sub, verbose=verbose)
         reports[float(chi)] = rep
         combined.extend(
             [chi, r.nm, r.mean_eps_l2, r.max_eps_l2, r.eps_final, r.eps_amp]

@@ -1,14 +1,17 @@
 """Full-order reconstruction from a reduced trajectory.
 
 The nodal modes follow dB/dt = B M; each step applies the Crank-Nicolson
-(Cayley) update  B+ (I - dt/2 M) = B (I + dt/2 M), which preserves
-G-orthonormality exactly for skew M, followed by a modified Gram-Schmidt
-sweep in the G-inner product to stop roundoff drift from accumulating.
+(Cayley) update  B+ = B C  with the n x n factor
+C = (I - dt/2 M)^-1 (I + dt/2 M), which preserves G-orthonormality exactly
+for skew M.  A block Gram-Schmidt in the G-inner product (through the
+Cholesky factor of the Gram matrix) follows, to stop roundoff drift from
+accumulating.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import cholesky, solve_triangular
 
 from .eigenbasis import ReducedBasis
 
@@ -16,26 +19,24 @@ __all__ = ["propagate_basis", "reconstruct_nodal", "orthonormalize_g"]
 
 
 def orthonormalize_g(B: np.ndarray, G) -> np.ndarray:
-    """Modified Gram-Schmidt in the G-inner product (columns in place order).
+    """Gram-Schmidt in the G-inner product, as one block operation.
 
-    Assumes the columns are already close to G-orthonormal (as after a
-    Cayley step); a rank-deficient set raises LinAlgError.
+    With the Cholesky factor of the Gram matrix, B^T G B = R^T R, returns
+    Q = B R^-1.  R is upper triangular with a positive diagonal, the factor
+    Gram-Schmidt produces, so the column order, the nested spans and each
+    column's direction against the earlier ones are kept.  Assumes the
+    columns are close to G-orthonormal (as after a Cayley step), so the
+    Gram matrix is well conditioned; a rank-deficient set raises
+    LinAlgError.
     """
-    B = np.array(B, dtype=float)
-    W = G @ B  # updated column by column alongside B
-    for j in range(B.shape[1]):
-        v = B[:, j]
-        w = W[:, j]
-        for i in range(j):
-            r = B[:, i] @ w
-            v -= r * B[:, i]
-            w -= r * W[:, i]
-        nrm = np.sqrt(abs(v @ w))
-        if nrm <= 1e-14:
-            raise np.linalg.LinAlgError(f"column {j} lost rank in Gram-Schmidt")
-        B[:, j] = v / nrm
-        W[:, j] = w / nrm
-    return B
+    B = np.asarray(B, dtype=float)
+    S = B.T @ (G @ B)
+    R = cholesky(S)
+    # a pivot is a squared norm: roundoff leaves ~1e-8 of a column's norm
+    lost = np.flatnonzero(np.diag(R) <= 1e-6 * np.sqrt(np.diag(S)))
+    if lost.size:
+        raise np.linalg.LinAlgError(f"column {lost[0]} lost rank in Gram-Schmidt")
+    return solve_triangular(R, B.T, trans="T").T
 
 
 def propagate_basis(basis: ReducedBasis, m_half: np.ndarray, dt: float) -> ReducedBasis:
@@ -44,9 +45,8 @@ def propagate_basis(basis: ReducedBasis, m_half: np.ndarray, dt: float) -> Reduc
     if m_half.shape != (n, n):
         raise ValueError(f"generator shape {m_half.shape} does not match {n} modes")
     h = 0.5 * dt
-    Y = basis.B @ (np.eye(n) + h * m_half)
-    Bnew = np.linalg.solve((np.eye(n) - h * m_half).T, Y.T).T
-    Bnew = orthonormalize_g(Bnew, basis.fem.mass)
+    cayley = np.linalg.solve(np.eye(n) - h * m_half, np.eye(n) + h * m_half)
+    Bnew = orthonormalize_g(basis.B @ cayley, basis.fem.mass)
     return ReducedBasis(
         B=Bnew,
         lam=basis.lam,

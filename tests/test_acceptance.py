@@ -71,14 +71,14 @@ def advection_table():
 @pytest.fixture(scope="module")
 def kdv1_eigen_table():
     cfg = preset("kdv1_eigen.ini")
-    report = run_experiment(cfg, threads=3)
+    report = run_experiment(cfg)
     return cfg, report
 
 
 @pytest.fixture(scope="module")
 def kdv3_eigen_table():
     cfg = preset("kdv3_eigen.ini")
-    report = run_experiment(cfg, threads=3)
+    report = run_experiment(cfg)
     return cfg, report
 
 
@@ -120,7 +120,7 @@ def fkpp1d_table():
 def fkpp2d_table():
     cfg = preset("fkpp2d_square.ini")
     t0 = time.perf_counter()
-    report = run_experiment(cfg, threads=3)
+    report = run_experiment(cfg)
     return cfg, report, time.perf_counter() - t0
 
 

@@ -33,16 +33,22 @@ def advection_ini(tmp_path):
 def test_parser_accepts_all_subcommands():
     parser = build_parser()
     for sub in ("run", "sweep", "scsa", "frobenius"):
-        args = parser.parse_args([sub, "cfg.ini", "--out", "d",
-                                  "--threads", "2", "--verbose"])
+        args = parser.parse_args([sub, "cfg.ini", "--out", "d", "--verbose"])
         assert args.command == sub
         assert args.config == "cfg.ini"
-        assert args.out == "d" and args.threads == 2 and args.verbose
+        assert args.out == "d" and args.verbose
 
 
 def test_parser_requires_a_subcommand(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def test_parser_rejects_threads_option(capsys):
+    # mode counts run one after the other; there is no thread pool to size
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["run", "cfg.ini", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_run_subcommand_writes_tables(advection_ini, tmp_path):
@@ -61,9 +67,15 @@ def test_missing_config_exits_with_usage_error(tmp_path, capsys):
 
 def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.ini"
-    path.write_text(ADVECTION_INI + "\n[plotting]\nstyle = 3\n")
-    assert main(["run", str(path)]) == 2
-    assert "unknown section" in capsys.readouterr().err
+    for text, message in [
+        (ADVECTION_INI + "\n[plotting]\nstyle = 3\n", "unknown section"),
+        (ADVECTION_INI.replace("t_max = 0.25", "t_max = 0.26"), "not a multiple of dt"),
+    ]:
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()  # rejected before any work
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -127,7 +139,7 @@ def test_sweep_subcommand(advection_ini, tmp_path):
     path = tmp_path / "sweep.ini"
     path.write_text(text)
     out = str(tmp_path / "out")
-    assert main(["sweep", str(path), "--out", out, "--threads", "2"]) == 0
+    assert main(["sweep", str(path), "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "sweep.csv"))
     assert os.path.isdir(os.path.join(out, "chi_40"))
 

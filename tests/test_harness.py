@@ -222,21 +222,6 @@ def test_failures_are_recorded_per_mode_count(tmp_path):
     assert "N_M=4" in failures and "N_M=6" in failures
 
 
-def test_threaded_run_matches_serial(tmp_path):
-    texts = []
-    for threads, name in ((1, "serial"), (2, "pool")):
-        cfg = ExperimentConfig(problem="advection")
-        cfg.n_nodes = 61
-        cfg.chi, cfg.c = 60.0, 0.5
-        cfg.dt, cfg.t_max = 1.0 / 16, 0.25
-        cfg.nm_list = (4, 6)
-        cfg.out_dir = str(tmp_path / name)
-        report = run_experiment(cfg, threads=threads)
-        assert report.errors == {}
-        texts.append(open(os.path.join(cfg.out_dir, "table.csv")).read())
-    assert texts[0] == texts[1]
-
-
 def test_csv_values_carry_full_precision(advection_run):
     cfg, report = advection_run
     line = open(os.path.join(cfg.out_dir, "table.csv")).readlines()[1]

@@ -45,12 +45,22 @@ def test_gram_schmidt_keeps_leading_column_direction(basis):
     first = Q[:, 0]
     ref = basis.B[:, 0]
     assert np.abs(first - ref).max() < 1e-12
+    # every column: B = Q R with R = Q^T G B upper triangular, positive diagonal
+    rng = np.random.default_rng(5)
+    B = basis.B + 0.1 * rng.standard_normal(basis.B.shape)
+    R = orthonormalize_g(B, G).T @ (G @ B)
+    assert np.abs(np.tril(R, -1)).max() < 1e-12
+    assert np.all(np.diag(R) > 0.0)
 
 
 def test_gram_schmidt_rejects_rank_deficient_columns(basis):
     B = basis.B.copy()
     B[:, 3] = B[:, 1]
     with pytest.raises(np.linalg.LinAlgError):
+        orthonormalize_g(B, basis.fem.mass)
+    # nearly dependent: the Cholesky pivot stays positive but is tiny
+    B[:, 3] = B[:, 1] + 1e-7 * basis.B[:, 3]
+    with pytest.raises(np.linalg.LinAlgError, match="column 3"):
         orthonormalize_g(B, basis.fem.mass)
 
 

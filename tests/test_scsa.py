@@ -65,12 +65,17 @@ def test_soliton_less_accurate_than_eigen_here(interval, double_gaussian):
 def test_chi_sweep_eigen_matches_direct(interval, double_gaussian):
     sweep = chi_sweep(double_gaussian, [150.0, 250.0], 8, "eigen", interval)
     assert {c for c, _, _ in sweep.rows} == {150.0, 250.0}
-    # Parseval shortcut must agree with an explicit projection
+    # one eigensolve per chi must agree with an explicit projection
     direct = eigen_expansion(double_gaussian, 250.0, 8, interval)[1]
     table = {(c, n): e for c, n, e in sweep.rows}
     assert table[(250.0, 8)] == pytest.approx(direct, rel=1e-8, abs=1e-12)
     # per-budget winners cover every mode count once
     assert [n for n, _, _ in sweep.best] == list(range(1, 9))
+    # down to errors of ~1e-9, where a Parseval remainder cancels to zero
+    sweep = chi_sweep(double_gaussian, [50.0], 60, "eigen", interval)
+    for chi, n, err in sweep.rows:
+        direct = eigen_expansion(double_gaussian, chi, n, interval)[1]
+        assert err == pytest.approx(direct, rel=1e-6)
 
 
 def test_chi_sweep_soliton_monotone_in_budget(interval, double_gaussian):
