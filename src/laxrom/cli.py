@@ -6,12 +6,13 @@
     laxrom frobenius CONFIG  residual-norm comparison against a reference N_M
 
 All subcommands share --out (override the configured output directory)
-and --verbose.
+and --verbose (progress lines, logged to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 from .harness import (
@@ -47,6 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(format="%(message)s")
+    logging.getLogger("laxrom").setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         cfg = load_config(args.config)
     except (OSError, ValueError, KeyError) as exc:
@@ -59,12 +62,12 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            report = run_experiment(cfg, verbose=args.verbose)
+            report = run_experiment(cfg)
             for nm, msg in sorted(report.errors.items()):
                 print(f"error: N_M={nm}: {msg}", file=sys.stderr)
             return 1 if report.errors else 0
         if args.command == "sweep":
-            reports = run_chi_sweep(cfg, verbose=args.verbose)
+            reports = run_chi_sweep(cfg)
             bad = {
                 (chi, nm): msg
                 for chi, rep in reports.items()
@@ -74,10 +77,10 @@ def main(argv=None) -> int:
                 print(f"error: chi={chi:g} N_M={nm}: {msg}", file=sys.stderr)
             return 1 if bad else 0
         if args.command == "scsa":
-            run_scsa(cfg, verbose=args.verbose)
+            run_scsa(cfg)
             return 0
         if args.command == "frobenius":
-            compare_frobenius(cfg, verbose=args.verbose)
+            compare_frobenius(cfg)
             return 0
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,15 +1,20 @@
 """Time integration of the reduced system.
 
-State = (coefficients, eigenvalues, interaction tensor T, auxiliary
-matrices).  Everything is advanced together by the implicit midpoint rule,
-with the basis-rotation generator M rebuilt from the half-step state at
-every nonlinear iteration:
+The state is one flat vector y = (coefficients, eigenvalues, interaction
+tensor T, auxiliary matrices), advanced as a whole by the implicit midpoint
+rule, with the basis-rotation generator M rebuilt from the half-step state
+at every nonlinear iteration:
 
     M_ij = chi / (lambda_i - lambda_j) * sum_m T_ijm gamma_m   (i != j)
     coeffs' = gamma - M coeffs          (or the soliton law)
     lambda_i' = -chi sum_m T_iim gamma_m
     T' = {M, T}       (rank-3 bracket)
     X' = [X, M]       for each auxiliary matrix X
+
+Each stage of the iteration (midpoint, proposal, change, scale) is one
+elementwise operation on the whole of y, and the named fields are views
+into it.  No state vector is ever written in place, so states are shared
+without copying.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ class SolverConfig:
     fp_tol: float = 1e-9
     fp_max_iters: int = 100
     tol_deg: float = 1e-8
-    damping: float = 1.0
 
     def n_steps(self) -> int:
         n = int(round(self.t_max / self.dt))
@@ -59,24 +63,51 @@ class SolverConfig:
         return n
 
 
+class StateLayout:
+    """Offsets of the fields in the flat state vector.
+
+    y = [coeffs, lambda, T (row-major), the aux matrices in ``aux_names``
+    order]; the offsets are computed once, not on every evaluation.
+    """
+
+    def __init__(self, n_coeffs: int, n_modes: int, aux_names: tuple):
+        self.n_modes = n_modes
+        self.aux_names = tuple(aux_names)
+        sizes = [n_coeffs, n_modes, n_modes**3] + [n_modes**2] * len(self.aux_names)
+        ends = np.cumsum(sizes).tolist()
+        self._slices = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+
+    def split(self, y: np.ndarray):
+        """Views (coeffs, lam, T, aux dict) into y."""
+        n = self.n_modes
+        coeffs, lam, T, *mats = (y[s] for s in self._slices)
+        aux = {k: X.reshape(n, n) for k, X in zip(self.aux_names, mats)}
+        return coeffs, lam, T.reshape(n, n, n), aux
+
+
+def _pack(*fields) -> np.ndarray:
+    return np.concatenate([np.ravel(a) for a in fields])
+
+
 @dataclass
 class ReducedState:
-    """Reduced variables at one time level."""
+    """Reduced variables at one time level, held in one flat vector.
 
-    coeffs: np.ndarray
-    lam: np.ndarray
-    T: np.ndarray
-    aux: dict
+    ``y`` is made read-only on construction; ``coeffs``, ``lam``, ``T`` and
+    ``aux`` are views into it laid out by ``layout``.
+    """
+
+    y: np.ndarray
     t: float
+    layout: StateLayout = field(repr=False)
+    coeffs: np.ndarray = field(init=False, repr=False)
+    lam: np.ndarray = field(init=False, repr=False)
+    T: np.ndarray = field(init=False, repr=False)
+    aux: dict = field(init=False, repr=False)
 
-    def copy(self) -> "ReducedState":
-        return ReducedState(
-            coeffs=self.coeffs.copy(),
-            lam=self.lam.copy(),
-            T=self.T.copy(),
-            aux={k: v.copy() for k, v in self.aux.items()},
-            t=self.t,
-        )
+    def __post_init__(self):
+        self.y.flags.writeable = False
+        self.coeffs, self.lam, self.T, self.aux = self.layout.split(self.y)
 
 
 def build_M(lam, T, gamma, chi: float, tol_deg: float = 1e-8) -> np.ndarray:
@@ -85,20 +116,13 @@ def build_M(lam, T, gamma, chi: float, tol_deg: float = 1e-8) -> np.ndarray:
     M_ij = chi Theta_ij / (lambda_i - lambda_j) with Theta = sum_m T_:,:,m
     gamma_m, zero diagonal, entries with |lambda_i - lambda_j| below
     tol_deg * (1 + |lambda_i|) zeroed.  Skew-symmetry is exact: the upper
-    triangle is computed and mirrored.
+    triangle U is computed and M = U - U^T.
     """
     lam = np.asarray(lam, dtype=float)
-    n = lam.size
-    theta = T @ gamma
-    iu, ju = np.triu_indices(n, k=1)
-    denom = lam[iu] - lam[ju]
-    vals = np.zeros(iu.size)
-    ok = np.abs(denom) > tol_deg * (1.0 + np.abs(lam[iu]))
-    vals[ok] = chi * theta[iu[ok], ju[ok]] / denom[ok]
-    M = np.zeros((n, n))
-    M[iu, ju] = vals
-    M[ju, iu] = -vals
-    return M
+    denom = lam[:, None] - lam[None, :]
+    ok = np.abs(denom) > tol_deg * (1.0 + np.abs(lam))[:, None]
+    U = np.triu(np.divide(chi * (T @ gamma), denom, out=np.zeros_like(denom), where=ok), 1)
+    return U - U.T
 
 
 def frobenius_norm_sq(M: np.ndarray) -> float:
@@ -111,81 +135,57 @@ def mode_indicator(M: np.ndarray) -> np.ndarray:
     return np.sum(M * M, axis=1)
 
 
-def _rhs(half: ReducedState, model: EquationModel, cfg: SolverConfig):
-    gamma = model.gamma(half.coeffs, half.lam, half.T, half.aux)
-    M = model.override_m(half.aux)
+def _generator(fields, model: EquationModel, cfg: SolverConfig):
+    """(gamma, M) at the state whose views are ``fields``."""
+    coeffs, lam, T, aux = fields
+    gamma = model.gamma(coeffs, lam, T, aux)
+    M = model.override_m(aux)
     if M is None:
-        M = build_M(half.lam, half.T, gamma, cfg.chi, cfg.tol_deg)
-    n = half.lam.size
-    tii = half.T[np.arange(n), np.arange(n), :]  # (n, n) rows T_iim
-    return {
-        "coeffs": model.coeff_rhs(half.coeffs, half.lam, half.T, M, half.aux, gamma),
-        "lam": -cfg.chi * (tii @ gamma),
-        "T": bracket3(M, half.T),
-        "aux": {k: commutator(X, M) for k, X in half.aux.items()},
-    }, M
+        M = build_M(lam, T, gamma, cfg.chi, cfg.tol_deg)
+    return gamma, M
+
+
+def _rhs(y: np.ndarray, layout: StateLayout, model: EquationModel, cfg: SolverConfig):
+    """Flat right-hand side of the reduced system at y."""
+    coeffs, lam, T, aux = fields = layout.split(y)
+    gamma, M = _generator(fields, model, cfg)
+    n = lam.size
+    tii = T[np.arange(n), np.arange(n), :]  # (n, n) rows T_iim
+    return _pack(
+        model.coeff_rhs(coeffs, lam, T, M, aux, gamma),
+        -cfg.chi * (tii @ gamma),
+        bracket3(M, T),
+        *(commutator(X, M) for X in aux.values()),
+    )
 
 
 def step_midpoint(state: ReducedState, model: EquationModel, cfg: SolverConfig):
     """One implicit midpoint step.
 
-    The update y+ = y + dt f((y + y+)/2) is solved by damped fixed-point
-    iteration started from the current state, stopping when the largest
-    component change drops below cfg.fp_tol relative to the magnitude of
-    the state (the eigenvalues grow like chi, so an absolute test would
-    demand more than roundoff allows at large chi).  Divergence (NaN) or
-    running out of iterations raises FixedPointError.
+    The update y+ = y + dt f((y + y+)/2) is solved by fixed-point iteration
+    started from the current state, stopping when the largest component
+    change drops below cfg.fp_tol relative to the magnitude of the state
+    (the eigenvalues grow like chi, so an absolute test would demand more
+    than roundoff allows at large chi).  Divergence (NaN) or running out of
+    iterations raises FixedPointError.
 
     Returns
     -------
     (new_state, M_half) : the advanced state and the generator evaluated at
     the converged half step (the one that also propagates the basis).
     """
-    dt = cfg.dt
-    new = state.copy()
-    scale = 1.0 + max(
-        np.abs(state.coeffs).max(),
-        np.abs(state.lam).max(),
-        np.abs(state.T).max(),
-        *(np.abs(X).max() for X in state.aux.values()),
-    )
+    dt, y, layout = cfg.dt, state.y, state.layout
+    scale = 1.0 + np.abs(y).max()
+    new = y
     last_delta = np.inf
     for _ in range(cfg.fp_max_iters):
-        half = ReducedState(
-            coeffs=0.5 * (state.coeffs + new.coeffs),
-            lam=0.5 * (state.lam + new.lam),
-            T=0.5 * (state.T + new.T),
-            aux={k: 0.5 * (state.aux[k] + new.aux[k]) for k in state.aux},
-            t=state.t + 0.5 * dt,
-        )
-        rhs, _ = _rhs(half, model, cfg)
-        prop = ReducedState(
-            coeffs=state.coeffs + dt * rhs["coeffs"],
-            lam=state.lam + dt * rhs["lam"],
-            T=state.T + dt * rhs["T"],
-            aux={k: state.aux[k] + dt * rhs["aux"][k] for k in state.aux},
-            t=state.t + dt,
-        )
-        deltas = [np.max(np.abs(prop.coeffs - new.coeffs)),
-                  np.max(np.abs(prop.lam - new.lam)),
-                  np.max(np.abs(prop.T - new.T))]
-        deltas += [np.max(np.abs(prop.aux[k] - new.aux[k])) for k in state.aux]
-        last_delta = float(max(deltas))
+        prop = y + dt * _rhs(0.5 * (y + new), layout, model, cfg)
+        last_delta = float(np.abs(prop - new).max())
         if not np.isfinite(last_delta):
             raise FixedPointError(
                 f"midpoint iteration diverged at t={state.t:.6g}"
             )
-        w = cfg.damping
-        if w == 1.0:
-            new = prop
-        else:
-            new = ReducedState(
-                coeffs=(1 - w) * new.coeffs + w * prop.coeffs,
-                lam=(1 - w) * new.lam + w * prop.lam,
-                T=(1 - w) * new.T + w * prop.T,
-                aux={k: (1 - w) * new.aux[k] + w * prop.aux[k] for k in state.aux},
-                t=state.t + dt,
-            )
+        new = prop
         if last_delta <= cfg.fp_tol * scale:
             break
     else:
@@ -193,35 +193,24 @@ def step_midpoint(state: ReducedState, model: EquationModel, cfg: SolverConfig):
             f"no convergence in {cfg.fp_max_iters} iterations at "
             f"t={state.t:.6g} (last delta {last_delta:.3e})"
         )
-    half = ReducedState(
-        coeffs=0.5 * (state.coeffs + new.coeffs),
-        lam=0.5 * (state.lam + new.lam),
-        T=0.5 * (state.T + new.T),
-        aux={k: 0.5 * (state.aux[k] + new.aux[k]) for k in state.aux},
-        t=state.t + 0.5 * dt,
-    )
-    _, m_half = _rhs(half, model, cfg)
-    return new, m_half
+    _, m_half = _generator(layout.split(0.5 * (y + new)), model, cfg)
+    return ReducedState(new, state.t + dt, layout), m_half
 
 
 def initial_state(basis: ReducedBasis, coeffs0: np.ndarray, model: EquationModel) -> ReducedState:
     """Assemble T(0) and the model's auxiliary matrices on the basis."""
     coeffs0 = np.asarray(coeffs0, dtype=float)
-    aux = {}
+    aux = []
     for kind in model.required_aux:
         if kind == "D":
-            aux["D"] = assemble_D(basis)
+            aux.append(assemble_D(basis))
         elif kind == "D3":
-            aux["D3"] = assemble_D3(basis, basis.potential, basis.chi)
+            aux.append(assemble_D3(basis, basis.potential, basis.chi))
         else:
             raise ValueError(f"unknown auxiliary operator {kind!r}")
-    return ReducedState(
-        coeffs=coeffs0.copy(),
-        lam=basis.lam.copy(),
-        T=assemble_T(basis),
-        aux=aux,
-        t=0.0,
-    )
+    layout = StateLayout(coeffs0.size, basis.n_modes, model.required_aux)
+    y = _pack(coeffs0, basis.lam, assemble_T(basis), *aux)
+    return ReducedState(y, 0.0, layout)
 
 
 @dataclass
@@ -271,7 +260,7 @@ def run(
     times[0] = 0.0
     coeffs[0] = state.coeffs
     lambdas[0] = state.lam
-    first = state.copy()
+    first = state
     for k in range(n_steps):
         state, M = step_midpoint(state, model, cfg)
         times[k + 1] = state.t

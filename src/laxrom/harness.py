@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import logging
 import os
 from dataclasses import dataclass, field, replace
 
@@ -28,7 +29,7 @@ from .mesh import (
 from .models import AdvectionModel, FkppModel, KdvEigenModel, KdvSolitonModel
 from .reconstruct import propagate_basis, reconstruct_nodal
 from .reference import fkpp_reference, kdv_n_soliton, kdv_one_soliton
-from .scsa import chi_sweep, read_signal_csv, shift_nonnegative
+from .scsa import METHODS, chi_sweep, read_signal_csv, shift_nonnegative
 
 __all__ = [
     "ExperimentConfig",
@@ -45,12 +46,14 @@ __all__ = [
 
 PROBLEMS = ("advection", "kdv_eigen", "kdv_soliton", "fkpp", "scsa")
 
+log = logging.getLogger(__name__)
+
 _SCHEMA = {
     "experiment": ("problem", "out_dir"),
     "mesh": ("a", "b", "n_nodes", "n_per_side", "bc"),
     "reduction": ("chi", "nm_list", "nm_ref"),
     "time": ("dt", "t_max"),
-    "solver": ("fp_tol", "fp_max_iters", "tol_deg", "damping"),
+    "solver": ("fp_tol", "fp_max_iters", "tol_deg"),
     "model": ("c", "nu", "beta_speed", "x0", "c_scatter", "k_scatter", "amplitude_law"),
     "scsa": ("signal", "chi_grid", "n_modes_cap", "methods"),
     "sweep": ("chi_grid",),
@@ -80,7 +83,6 @@ class ExperimentConfig:
     fp_tol: float = 1e-9
     fp_max_iters: int = 100
     tol_deg: float = 1e-8
-    damping: float = 1.0
     # model parameters
     c: float = 0.5
     nu: float = 1.0
@@ -106,7 +108,6 @@ class ExperimentConfig:
             fp_tol=self.fp_tol,
             fp_max_iters=self.fp_max_iters,
             tol_deg=self.tol_deg,
-            damping=self.damping,
         )
 
 
@@ -156,7 +157,6 @@ def load_config(path) -> ExperimentConfig:
     grab("solver", "fp_tol", float)
     grab("solver", "fp_max_iters", int)
     grab("solver", "tol_deg", float)
-    grab("solver", "damping", float)
     grab("model", "c", float)
     grab("model", "nu", float)
     grab("model", "beta_speed", float)
@@ -174,6 +174,17 @@ def load_config(path) -> ExperimentConfig:
             cfg.solver().n_steps()
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+    if cfg.bc is not None and cfg.bc not in (DIRICHLET, NEUMANN):
+        raise ValueError(f"{path}: bc must be {DIRICHLET} or {NEUMANN}, got {cfg.bc!r}")
+    if not cfg.nm_list or min(cfg.nm_list) < 1:
+        raise ValueError(f"{path}: nm_list entries must be at least 1, got {cfg.nm_list}")
+    if cfg.problem == "kdv_soliton" and cfg.chi != 1.0:
+        raise ValueError(f"{path}: kdv_soliton needs chi = 1, got {cfg.chi:g}")
+    if cfg.amplitude_law not in KdvSolitonModel.AMPLITUDE_LAWS:
+        raise ValueError(f"{path}: amplitude_law must be one of "
+                         f"{KdvSolitonModel.AMPLITUDE_LAWS}, got {cfg.amplitude_law!r}")
+    if not set(cfg.methods) <= set(METHODS):
+        raise ValueError(f"{path}: methods must be among {METHODS}, got {cfg.methods}")
 
     cfg.source_path = str(path)
     cfg.source_hash = hashlib.sha256(raw.encode()).hexdigest()
@@ -353,7 +364,7 @@ def _error_series(basis, traj, law, ref, snap_indices):
     return eps, amp, snaps
 
 
-def _run_one_nm(cfg, basis_full, model, law, u0, ref, nm, out_dir, verbose):
+def _run_one_nm(cfg, basis_full, model, law, u0, ref, nm, out_dir):
     basis = basis_full.truncate(nm)
     coeffs0 = _initial_coeffs(cfg, basis, model, u0)
     traj = run(basis, coeffs0, model, cfg.solver())
@@ -387,15 +398,12 @@ def _run_one_nm(cfg, basis_full, model, law, u0, ref, nm, out_dir, verbose):
         eps_final=float(eps[-1]),
         eps_amp=float(np.max(amp)),
     )
-    if verbose:
-        print(
-            f"[{cfg.problem}] N_M={nm:3d}  mean eps_L2={row.mean_eps_l2:.3e}  "
-            f"max={row.max_eps_l2:.3e}  amp={row.eps_amp:.3e}"
-        )
+    log.info("[%s] N_M=%3d  mean eps_L2=%.3e  max=%.3e  amp=%.3e",
+             cfg.problem, nm, row.mean_eps_l2, row.max_eps_l2, row.eps_amp)
     return row, traj
 
 
-def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> MetricsReport:
+def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """Run one configured experiment over its nm_list and write its tables.
 
     Per N_M failures are recorded in the report and do not stop the other
@@ -414,14 +422,13 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> MetricsRepor
     nm_max = max(cfg.nm_list)
     basis_full = solve_schrodinger_eig(fem, u0, cfg.chi, nm_max)
     model, law = _make_model(cfg, basis_full)
-    if verbose:
-        print(f"[{cfg.problem}] {fem.n_active} dofs, {n_steps} steps, "
-              f"modes up to {nm_max}")
+    log.info("[%s] %d dofs, %d steps, modes up to %d",
+             cfg.problem, fem.n_active, n_steps, nm_max)
 
     report = MetricsReport(problem=cfg.problem, out_dir=out_dir)
     for nm in cfg.nm_list:
         try:
-            row, _ = _run_one_nm(cfg, basis_full, model, law, u0, ref, nm, out_dir, verbose)
+            row, _ = _run_one_nm(cfg, basis_full, model, law, u0, ref, nm, out_dir)
             report.rows.append(row)
         except Exception as exc:  # noqa: BLE001 - reported per N_M
             report.errors[nm] = f"{type(exc).__name__}: {exc}"
@@ -445,7 +452,7 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> MetricsRepor
     return report
 
 
-def compare_frobenius(cfg: ExperimentConfig, verbose: bool = False):
+def compare_frobenius(cfg: ExperimentConfig):
     """Residual-norm comparison against a large reference mode count.
 
     Runs the reduced dynamics (no reconstruction) at nm_ref and at every
@@ -478,8 +485,7 @@ def compare_frobenius(cfg: ExperimentConfig, verbose: bool = False):
         traj = frob_series(nm)
         series = np.abs(traj.frob - ref) / ref
         rows.append((nm, float(np.mean(series)), float(np.max(series))))
-        if verbose:
-            print(f"[{cfg.problem}] N_M={nm:3d}  mean eps_M={rows[-1][1]:.3e}")
+        log.info("[%s] N_M=%3d  mean eps_M=%.3e", cfg.problem, nm, rows[-1][1])
         if out_dir is not None:
             t_half = 0.5 * (traj.times[:-1] + traj.times[1:])
             _save_csv(
@@ -497,7 +503,7 @@ def compare_frobenius(cfg: ExperimentConfig, verbose: bool = False):
     return rows
 
 
-def run_scsa(cfg: ExperimentConfig, verbose: bool = False):
+def run_scsa(cfg: ExperimentConfig):
     """Static signal study: chi sweep of the spectral representations.
 
     The signal (builtin double Gaussian or a CSV file) is shifted
@@ -524,17 +530,15 @@ def run_scsa(cfg: ExperimentConfig, verbose: bool = False):
         u = u_full[fem.active]
 
     u_shifted, offset = shift_nonnegative(u)
-    if verbose:
-        print(f"[scsa] signal {cfg.signal!r}: {u.size} samples, offset {offset:.3e}")
+    log.info("[scsa] signal %r: %d samples, offset %.3e", cfg.signal, u.size, offset)
 
     results = {}
     for method in cfg.methods:
         res = chi_sweep(u_shifted, cfg.chi_grid, cfg.n_modes_cap, method, fem,
                         tol_deg=cfg.tol_deg)
         results[method] = res
-        if verbose:
-            n, chi_b, err_b = res.best[-1]
-            print(f"[scsa] {method}: best at cap n={n}: chi={chi_b:g} err={err_b:.3e}")
+        n, chi_b, err_b = res.best[-1]
+        log.info("[scsa] %s: best at cap n=%d: chi=%g err=%.3e", method, n, chi_b, err_b)
         if out_dir is not None:
             _save_csv(
                 os.path.join(out_dir, f"sweep_{method}.csv"),
@@ -559,7 +563,7 @@ def run_scsa(cfg: ExperimentConfig, verbose: bool = False):
     return results
 
 
-def run_chi_sweep(cfg: ExperimentConfig, verbose: bool = False):
+def run_chi_sweep(cfg: ExperimentConfig):
     """Repeat a dynamic experiment for every chi in chi_grid.
 
     Each chi runs in its own subdirectory of out_dir; the combined table
@@ -580,9 +584,8 @@ def run_chi_sweep(cfg: ExperimentConfig, verbose: bool = False):
             chi=float(chi),
             out_dir=None if out_dir is None else os.path.join(out_dir, f"chi_{chi:g}"),
         )
-        if verbose:
-            print(f"[sweep] chi = {chi:g}")
-        rep = run_experiment(sub, verbose=verbose)
+        log.info("[sweep] chi = %g", chi)
+        rep = run_experiment(sub)
         reports[float(chi)] = rep
         combined.extend(
             [chi, r.nm, r.mean_eps_l2, r.max_eps_l2, r.eps_final, r.eps_amp]

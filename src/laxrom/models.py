@@ -161,13 +161,13 @@ class KdvSolitonModel(EquationModel):
     required_aux = ("D",)
     coefficient_law = "soliton"
 
-    _LAWS = ("frozen", "projected", "separated")
+    AMPLITUDE_LAWS = ("frozen", "projected", "separated")
 
     def __init__(self, n_soliton: int, amplitude_law: str = "frozen"):
         if n_soliton < 1:
             raise ValueError("need at least one soliton mode")
-        if amplitude_law not in self._LAWS:
-            raise ValueError(f"amplitude_law must be one of {self._LAWS}")
+        if amplitude_law not in self.AMPLITUDE_LAWS:
+            raise ValueError(f"amplitude_law must be one of {self.AMPLITUDE_LAWS}")
         self.n_soliton = int(n_soliton)
         self.amplitude_law = amplitude_law
 

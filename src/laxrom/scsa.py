@@ -26,6 +26,8 @@ __all__ = [
     "read_signal_csv",
 ]
 
+METHODS = ("eigen", "soliton")  # the representations chi_sweep compares
+
 
 def shift_nonnegative(u_nodal: np.ndarray):
     """Shift a signal by its minimum so it becomes nonnegative.
@@ -118,7 +120,7 @@ def chi_sweep(
     n deepest states (values for n beyond the bound-state count repeat the
     full sum).
     """
-    if method not in ("eigen", "soliton"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     u_nodal = np.asarray(u_nodal, dtype=float)
     cap = int(n_modes_cap)

@@ -89,12 +89,13 @@ def bracket3(M: np.ndarray, T: np.ndarray) -> np.ndarray:
 
     This is the generator of the tensor evolution under a rotating basis;
     it preserves full symmetry of T and is Frobenius-orthogonal to T when M
-    is skew-symmetric.
+    is skew-symmetric.  T must be fully symmetric, as every interaction
+    tensor is: then all three terms are index permutations of the first,
+    t1_ijk = sum_l M_li T_ljk, which is one (n x n) by (n x n^2) product.
     """
-    t1 = np.tensordot(M, T, axes=(0, 0))
-    t2 = np.tensordot(M, T, axes=(0, 1)).transpose(1, 0, 2)
-    t3 = np.tensordot(M, T, axes=(0, 2)).transpose(1, 2, 0)
-    return t1 + t2 + t3
+    n = M.shape[0]
+    t1 = (M.T @ T.reshape(n, n * n)).reshape(n, n, n)
+    return t1 + t1.transpose(1, 0, 2) + t1.transpose(1, 2, 0)
 
 
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:

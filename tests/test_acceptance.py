@@ -92,9 +92,7 @@ def _soliton_run(name):
     nm = max(cfg.nm_list)
     basis_full = solve_schrodinger_eig(fem, u0, cfg.chi, nm)
     model, law = harness._make_model(cfg, basis_full)
-    row, traj = harness._run_one_nm(
-        cfg, basis_full, model, law, u0, ref, nm, None, False
-    )
+    row, traj = harness._run_one_nm(cfg, basis_full, model, law, u0, ref, nm, None)
     drift = float(np.abs(traj.coeffs - traj.coeffs[0]).max())
     return row, drift, model
 

@@ -1,5 +1,6 @@
 """Command line interface."""
 
+import logging
 import os
 
 import numpy as np
@@ -60,6 +61,14 @@ def test_run_subcommand_writes_tables(advection_ini, tmp_path):
     assert table.shape == (2, 5)
 
 
+def test_verbose_run_logs_progress(advection_ini, tmp_path, caplog):
+    assert main(["run", advection_ini, "--out", str(tmp_path / "a"), "--verbose"]) == 0
+    assert "[advection] N_M=  4  mean eps_L2=" in caplog.text
+    caplog.clear()
+    assert main(["run", advection_ini, "--out", str(tmp_path / "b")]) == 0
+    assert not [r for r in caplog.records if r.levelno < logging.WARNING]
+
+
 def test_missing_config_exits_with_usage_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.ini")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -67,13 +76,24 @@ def test_missing_config_exits_with_usage_error(tmp_path, capsys):
 
 def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.ini"
-    for text, message in [
-        (ADVECTION_INI + "\n[plotting]\nstyle = 3\n", "unknown section"),
-        (ADVECTION_INI.replace("t_max = 0.25", "t_max = 0.26"), "not a multiple of dt"),
+    soliton = ADVECTION_INI.replace("problem = advection", "problem = kdv_soliton")
+    scsa = "[experiment]\nproblem = scsa\n[scsa]\nchi_grid = 50\n"
+    for command, text, message in [
+        ("run", ADVECTION_INI + "\n[plotting]\nstyle = 3\n", "unknown section"),
+        ("run", ADVECTION_INI.replace("t_max = 0.25", "t_max = 0.26"), "not a multiple of dt"),
+        ("run", ADVECTION_INI + "[solver]\ndamping = 0.5\n", "unknown key 'damping'"),
+        ("run", soliton, "kdv_soliton needs chi = 1"),
+        ("run", soliton.replace("chi = 60", "chi = 1") + "amplitude_law = bogus\n",
+         "amplitude_law must be one of"),
+        ("scsa", scsa + "methods = eigen, fourier\n", "methods must be among"),
+        ("run", ADVECTION_INI.replace("n_nodes = 81", "n_nodes = 81\nbc = periodic"),
+         "bc must be"),
+        ("run", ADVECTION_INI.replace("nm_list = 4 6", "nm_list = 0 4"),
+         "nm_list entries must be at least 1"),
     ]:
         path.write_text(text)
         out = tmp_path / "out"
-        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert main([command, str(path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()  # rejected before any work
 

@@ -8,6 +8,7 @@ from laxrom import (
     FixedPointError,
     SolverConfig,
     assemble,
+    assemble_T,
     build_M,
     build_uniform_mesh_1d,
     frobenius_norm_sq,
@@ -116,6 +117,26 @@ def test_run_records_trajectory(small_advection):
     np.testing.assert_allclose(traj.coeffs[0], beta)
     with pytest.raises(ValueError):
         run(basis, beta, model, SolverConfig(chi=61.0, dt=4e-3, t_max=0.04))
+
+
+def test_run_keeps_initial_state_intact(small_advection):
+    # the trajectory keeps the initial state without a copy: stepping must
+    # never write into a state vector
+    basis, beta, model = small_advection
+    traj = run(basis, beta, model, SolverConfig(chi=60.0, dt=4e-3, t_max=0.04))
+    np.testing.assert_array_equal(traj.first.T, assemble_T(basis))
+    np.testing.assert_array_equal(traj.first.coeffs, beta)
+    assert not traj.first.y.flags.writeable
+
+
+def test_step_returns_generator_at_midpoint(small_advection):
+    basis, beta, model = small_advection
+    cfg = SolverConfig(chi=60.0, dt=4e-3, t_max=0.04)
+    state0 = initial_state(basis, beta, model)
+    state1, M_half = step_midpoint(state0, model, cfg)
+    coeffs, lam, T, aux = state0.layout.split(0.5 * (state0.y + state1.y))
+    gamma = model.gamma(coeffs, lam, T, aux)
+    np.testing.assert_array_equal(M_half, build_M(lam, T, gamma, cfg.chi, cfg.tol_deg))
 
 
 def test_config_rejects_nonmultiple_horizon():

@@ -110,6 +110,18 @@ def test_bracket3_preserves_symmetry():
         assert np.abs(W - W.transpose(perm)).max() < 1e-12
 
 
+def test_bracket3_matches_index_definition():
+    rng = np.random.default_rng(13)
+    T = rng.standard_normal((6, 6, 6))
+    T = sum(T.transpose(p) for p in
+            ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)))
+    M = rng.standard_normal((6, 6))
+    ref = (np.einsum("li,ljk->ijk", M, T)
+           + np.einsum("lj,ilk->ijk", M, T)
+           + np.einsum("lk,ijl->ijk", M, T))
+    assert np.abs(bracket3(M, T) - ref).max() < 1e-12 * np.abs(ref).max()
+
+
 def test_bracket3_orthogonal_for_skew_generator():
     # <T, {M,T}> = 0 when M is skew: the Frobenius norm of T is conserved
     rng = np.random.default_rng(11)
