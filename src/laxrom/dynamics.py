@@ -57,6 +57,8 @@ class SolverConfig:
     tol_deg: float = 1e-8
 
     def n_steps(self) -> int:
+        if not self.dt > 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
         n = int(round(self.t_max / self.dt))
         if n < 1 or abs(n * self.dt - self.t_max) > 1e-9 * max(self.t_max, 1.0):
             raise ValueError(f"t_max={self.t_max} is not a multiple of dt={self.dt}")

@@ -12,7 +12,7 @@ import configparser
 import hashlib
 import logging
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,17 +47,6 @@ __all__ = [
 PROBLEMS = ("advection", "kdv_eigen", "kdv_soliton", "fkpp", "scsa")
 
 log = logging.getLogger(__name__)
-
-_SCHEMA = {
-    "experiment": ("problem", "out_dir"),
-    "mesh": ("a", "b", "n_nodes", "n_per_side", "bc"),
-    "reduction": ("chi", "nm_list", "nm_ref"),
-    "time": ("dt", "t_max"),
-    "solver": ("fp_tol", "fp_max_iters", "tol_deg"),
-    "model": ("c", "nu", "beta_speed", "x0", "c_scatter", "k_scatter", "amplitude_law"),
-    "scsa": ("signal", "chi_grid", "n_modes_cap", "methods"),
-    "sweep": ("chi_grid",),
-}
 
 
 @dataclass
@@ -119,76 +108,87 @@ def _ints(text: str) -> tuple:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
+def _names(text: str) -> tuple:
+    return tuple(tok.strip() for tok in text.split(","))
+
+
+# section -> {key: parser}; every key names an ExperimentConfig field
+_SCHEMA = {
+    "experiment": {"problem": str.strip, "out_dir": str},
+    "mesh": {"a": float, "b": float, "n_nodes": int, "n_per_side": int,
+             "bc": lambda s: s.strip().lower()},
+    "reduction": {"chi": float, "nm_list": _ints, "nm_ref": int},
+    "time": {"dt": float, "t_max": float},
+    "solver": {"fp_tol": float, "fp_max_iters": int, "tol_deg": float},
+    "model": {"c": float, "nu": float, "beta_speed": float, "x0": float,
+              "c_scatter": _floats, "k_scatter": _floats, "amplitude_law": str.strip},
+    "scsa": {"signal": str.strip, "chi_grid": _floats, "n_modes_cap": int,
+             "methods": _names},
+    "sweep": {"chi_grid": _floats},
+}
+
+
 def load_config(path) -> ExperimentConfig:
-    """Parse an INI experiment file (sections per _SCHEMA), strictly."""
+    """Parse an INI experiment file (sections per _SCHEMA), strictly.
+
+    Ranges and combinations are checked here too, so a bad file fails
+    before any work or output.
+    """
     parser = configparser.ConfigParser()
     with open(path) as f:
         raw = f.read()
     parser.read_string(raw)
 
+    values = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ValueError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
+        for key, text in parser[section].items():
             if key not in _SCHEMA[section]:
                 raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
-    if "experiment" not in parser or "problem" not in parser["experiment"]:
+            if key in values:
+                raise ValueError(f"{path}: {key} is set in more than one section")
+            values[key] = _SCHEMA[section][key](text)
+    if "problem" not in values:
         raise ValueError(f"{path}: missing [experiment] problem")
-
-    cfg = ExperimentConfig(problem=parser["experiment"]["problem"].strip())
-    if cfg.problem not in PROBLEMS:
-        raise ValueError(f"{path}: unknown problem {cfg.problem!r}")
-    cfg.out_dir = parser["experiment"].get("out_dir", None)
-
-    def grab(section, key, conv, attr=None):
-        if section in parser and key in parser[section]:
-            setattr(cfg, attr or key, conv(parser[section][key]))
-
-    grab("mesh", "a", float)
-    grab("mesh", "b", float)
-    grab("mesh", "n_nodes", int)
-    grab("mesh", "n_per_side", int)
-    grab("mesh", "bc", lambda s: s.strip().lower())
-    grab("reduction", "chi", float)
-    grab("reduction", "nm_list", _ints)
-    grab("reduction", "nm_ref", int)
-    grab("time", "dt", float)
-    grab("time", "t_max", float)
-    grab("solver", "fp_tol", float)
-    grab("solver", "fp_max_iters", int)
-    grab("solver", "tol_deg", float)
-    grab("model", "c", float)
-    grab("model", "nu", float)
-    grab("model", "beta_speed", float)
-    grab("model", "x0", float)
-    grab("model", "c_scatter", _floats)
-    grab("model", "k_scatter", _floats)
-    grab("model", "amplitude_law", str.strip)
-    grab("scsa", "signal", str.strip)
-    grab("scsa", "chi_grid", _floats)
-    grab("scsa", "n_modes_cap", int)
-    grab("scsa", "methods", lambda s: tuple(t.strip() for t in s.split(",")))
-    grab("sweep", "chi_grid", _floats)
-    if cfg.problem != "scsa":
-        try:
-            cfg.solver().n_steps()
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if cfg.bc is not None and cfg.bc not in (DIRICHLET, NEUMANN):
-        raise ValueError(f"{path}: bc must be {DIRICHLET} or {NEUMANN}, got {cfg.bc!r}")
-    if not cfg.nm_list or min(cfg.nm_list) < 1:
-        raise ValueError(f"{path}: nm_list entries must be at least 1, got {cfg.nm_list}")
-    if cfg.problem == "kdv_soliton" and cfg.chi != 1.0:
-        raise ValueError(f"{path}: kdv_soliton needs chi = 1, got {cfg.chi:g}")
-    if cfg.amplitude_law not in KdvSolitonModel.AMPLITUDE_LAWS:
-        raise ValueError(f"{path}: amplitude_law must be one of "
-                         f"{KdvSolitonModel.AMPLITUDE_LAWS}, got {cfg.amplitude_law!r}")
-    if not set(cfg.methods) <= set(METHODS):
-        raise ValueError(f"{path}: methods must be among {METHODS}, got {cfg.methods}")
-
-    cfg.source_path = str(path)
-    cfg.source_hash = hashlib.sha256(raw.encode()).hexdigest()
+    cfg = ExperimentConfig(**values, source_path=str(path),
+                           source_hash=hashlib.sha256(raw.encode()).hexdigest())
+    try:
+        _check(cfg)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return cfg
+
+
+def _check(cfg: ExperimentConfig) -> None:
+    """Ranges and combinations load_config rejects (ValueError)."""
+    if cfg.problem not in PROBLEMS:
+        raise ValueError(f"unknown problem {cfg.problem!r}")
+    if cfg.problem != "scsa":
+        cfg.solver().n_steps()
+    if cfg.bc is not None and cfg.bc not in (DIRICHLET, NEUMANN):
+        raise ValueError(f"bc must be {DIRICHLET} or {NEUMANN}, got {cfg.bc!r}")
+    if not cfg.nm_list or min(cfg.nm_list) < 1:
+        raise ValueError(f"nm_list entries must be at least 1, got {cfg.nm_list}")
+    if cfg.fp_max_iters < 1:
+        raise ValueError(f"fp_max_iters must be at least 1, got {cfg.fp_max_iters}")
+    chis = (cfg.chi,) + cfg.chi_grid
+    if min(chis) <= 0.0:
+        raise ValueError(f"chi must be positive, got {min(chis):g}")
+    off_one = [chi for chi in chis if chi != 1.0]
+    if cfg.problem == "kdv_soliton" and off_one:
+        raise ValueError(f"kdv_soliton needs chi = 1, got {off_one[0]:g}")
+    if cfg.amplitude_law not in KdvSolitonModel.AMPLITUDE_LAWS:
+        raise ValueError(f"amplitude_law must be one of "
+                         f"{KdvSolitonModel.AMPLITUDE_LAWS}, got {cfg.amplitude_law!r}")
+    if not set(cfg.methods) <= set(METHODS) or len(set(cfg.methods)) < len(cfg.methods):
+        raise ValueError(f"methods must be among {METHODS}, each once, got {cfg.methods}")
+    if cfg.problem == "scsa" and cfg.signal != "double_gaussian":
+        return  # the signal file sets the mesh
+    dofs = _build_space(cfg).n_active
+    n_max = cfg.n_modes_cap if cfg.problem == "scsa" else max(cfg.nm_list)
+    if n_max > dofs:
+        raise ValueError(f"{n_max} modes requested from a mesh of {dofs} dofs")
 
 
 def eps_l2(fem, u_ref: np.ndarray, u_num: np.ndarray) -> float:
@@ -215,16 +215,17 @@ class MetricsRow:
 
 @dataclass
 class MetricsReport:
-    problem: str
     rows: list = field(default_factory=list)
     errors: dict = field(default_factory=dict)
-    out_dir: str | None = None
 
     def row(self, nm: int) -> MetricsRow:
         for r in self.rows:
             if r.nm == nm:
                 return r
         raise KeyError(f"no row for N_M={nm}")
+
+
+_TABLE_HEADER = ",".join(f.name for f in fields(MetricsRow))
 
 
 # ---------------------------------------------------------------------------
@@ -237,83 +238,91 @@ def _build_space(cfg: ExperimentConfig):
         bc = cfg.bc or NEUMANN
     else:
         mesh = build_uniform_mesh_1d(cfg.a, cfg.b, cfg.n_nodes)
-        bc = cfg.bc or DIRICHLET
+        # Neumann for signals: shifted signals keep a nonzero baseline at
+        # the boundary that Dirichlet modes cannot represent
+        bc = cfg.bc or (NEUMANN if cfg.problem == "scsa" else DIRICHLET)
     return assemble(mesh, bc)
+
+
+def _exact(cfg: ExperimentConfig, x, t: float) -> np.ndarray:
+    """Closed-form advection or KdV solution at time t."""
+    if cfg.problem == "advection":
+        return np.exp(-250.0 * (x - cfg.c * t - 0.25) ** 2)
+    if cfg.c_scatter is not None:
+        return kdv_n_soliton(cfg.c_scatter, cfg.k_scatter, x, t)
+    return kdv_one_soliton(cfg.beta_speed, cfg.x0, x, t)
 
 
 def _initial_condition(cfg: ExperimentConfig, fem):
     xy = fem.coords
-    if cfg.problem == "advection":
-        return np.exp(-250.0 * (xy - 0.25) ** 2)
-    if cfg.problem in ("kdv_eigen", "kdv_soliton"):
-        if cfg.c_scatter is not None:
-            if cfg.k_scatter is None or len(cfg.c_scatter) != len(cfg.k_scatter):
-                raise ValueError("c_scatter and k_scatter must be given together")
-            return kdv_n_soliton(cfg.c_scatter, cfg.k_scatter, xy, 0.0)
-        if cfg.beta_speed is None:
-            raise ValueError("KdV needs beta_speed (one soliton) or scattering data")
-        return kdv_one_soliton(cfg.beta_speed, cfg.x0, xy, 0.0)
     if cfg.problem == "fkpp":
         if xy.ndim == 2:
             return np.exp(-50.0 * ((xy[:, 0] - 0.5) ** 2 + (xy[:, 1] - 0.25) ** 2))
         return np.exp(-100.0 * (xy - 0.25) ** 2) + np.exp(-100.0 * (xy - 0.75) ** 2)
-    raise ValueError(f"no initial condition for problem {cfg.problem!r}")
+    if cfg.problem in ("kdv_eigen", "kdv_soliton"):
+        if cfg.c_scatter is not None:
+            if cfg.k_scatter is None or len(cfg.c_scatter) != len(cfg.k_scatter):
+                raise ValueError("c_scatter and k_scatter must be given together")
+        elif cfg.beta_speed is None:
+            raise ValueError("KdV needs beta_speed (one soliton) or scattering data")
+    elif cfg.problem != "advection":
+        raise ValueError(f"no initial condition for problem {cfg.problem!r}")
+    return _exact(cfg, xy, 0.0)
 
 
 def _reference_series(cfg: ExperimentConfig, fem, u0, n_steps: int) -> np.ndarray:
     """Reference nodal solution at every time level, rows = time."""
-    times = cfg.dt * np.arange(n_steps + 1)
-    x = fem.coords
-    if cfg.problem == "advection":
-        out = np.empty((n_steps + 1, fem.n_active))
-        for i, t in enumerate(times):
-            out[i] = np.exp(-250.0 * (x - cfg.c * t - 0.25) ** 2)
-        return out
-    if cfg.problem in ("kdv_eigen", "kdv_soliton"):
-        out = np.empty((n_steps + 1, fem.n_active))
-        for i, t in enumerate(times):
-            if cfg.c_scatter is not None:
-                out[i] = kdv_n_soliton(cfg.c_scatter, cfg.k_scatter, x, t)
-            else:
-                out[i] = kdv_one_soliton(cfg.beta_speed, cfg.x0, x, t)
-        return out
     if cfg.problem == "fkpp":
         return fkpp_reference(fem, u0, cfg.nu, cfg.dt, n_steps)
-    raise ValueError(f"no reference for problem {cfg.problem!r}")
+    out = np.empty((n_steps + 1, fem.n_active))
+    for i, t in enumerate(cfg.dt * np.arange(n_steps + 1)):
+        out[i] = _exact(cfg, fem.coords, t)
+    return out
 
 
 def _make_model(cfg: ExperimentConfig, basis_full):
     if cfg.problem == "advection":
-        return AdvectionModel(cfg.c), "standard"
+        return AdvectionModel(cfg.c)
     if cfg.problem == "kdv_eigen":
-        return KdvEigenModel(cfg.chi), "standard"
+        return KdvEigenModel(cfg.chi)
     if cfg.problem == "kdv_soliton":
         if cfg.chi != 1.0:
             raise ValueError("the squared-mode expansion is specific to chi = 1")
         n_neg = int(np.count_nonzero(basis_full.lam < -cfg.tol_deg))
         if n_neg == 0:
             raise ValueError("no bound state: soliton expansion is empty")
-        return KdvSolitonModel(n_neg, cfg.amplitude_law), "soliton"
+        return KdvSolitonModel(n_neg, cfg.amplitude_law)
     if cfg.problem == "fkpp":
-        return FkppModel(cfg.nu, cfg.chi), "standard"
+        return FkppModel(cfg.nu, cfg.chi)
     raise ValueError(f"problem {cfg.problem!r} has no dynamic model")
 
 
-def _initial_coeffs(cfg: ExperimentConfig, basis, model, u0):
-    if getattr(model, "coefficient_law", "standard") == "soliton":
-        p = model.n_soliton
-        return 4.0 * np.sqrt(-basis.lam[:p]) / cfg.chi
-    beta, _ = initial_projection(basis, u0)
-    return beta
+def _setup(cfg: ExperimentConfig, nm_max: int):
+    """Space, initial condition, nm_max-mode eigenbasis and closure model."""
+    fem = _build_space(cfg)
+    u0 = _initial_condition(cfg, fem)
+    basis_full = solve_schrodinger_eig(fem, u0, cfg.chi, nm_max)
+    return fem, u0, basis_full, _make_model(cfg, basis_full)
+
+
+def _trajectory(cfg: ExperimentConfig, basis_full, model, u0, nm: int):
+    """(basis, reduced trajectory) of the first nm modes."""
+    basis = basis_full.truncate(nm)
+    if model.coefficient_law == "soliton":
+        coeffs0 = 4.0 * np.sqrt(-basis.lam[:model.n_soliton]) / cfg.chi
+    else:
+        coeffs0, _ = initial_projection(basis, u0)
+    return basis, run(basis, coeffs0, model, cfg.solver())
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# output helpers: the only code that creates output directories
 
 
-def _save_csv(path, header: str, array: np.ndarray) -> None:
-    np.savetxt(path, np.atleast_2d(array), fmt="%.17g", delimiter=",",
-               header=header, comments="")
+def _save_csv(out_dir: str, name: str, header: str, array) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    np.savetxt(os.path.join(out_dir, name), np.atleast_2d(array), fmt="%.17g",
+               delimiter=",", header=header, comments="")
 
 
 def _write_manifest(cfg: ExperimentConfig, out_dir: str) -> None:
@@ -327,6 +336,7 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: str) -> None:
         f"numpy = {np.__version__}",
         f"scipy = {scipy.__version__}",
     ]
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "manifest.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -364,33 +374,20 @@ def _error_series(basis, traj, law, ref, snap_indices):
     return eps, amp, snaps
 
 
-def _run_one_nm(cfg, basis_full, model, law, u0, ref, nm, out_dir):
-    basis = basis_full.truncate(nm)
-    coeffs0 = _initial_coeffs(cfg, basis, model, u0)
-    traj = run(basis, coeffs0, model, cfg.solver())
+def _run_one_nm(cfg, basis_full, model, u0, ref, nm, out_dir):
+    basis, traj = _trajectory(cfg, basis_full, model, u0, nm)
     n = traj.n_steps
     snap_indices = sorted({0, n // 4, n // 2, n})
-    eps, amp, snaps = _error_series(basis, traj, law, ref, snap_indices)
+    eps, amp, snaps = _error_series(basis, traj, model.coefficient_law, ref, snap_indices)
 
     if out_dir is not None:
-        _save_csv(
-            os.path.join(out_dir, f"errors_nm{nm:03d}.csv"),
-            "t,eps_l2,eps_amp",
-            np.column_stack([traj.times, eps, amp]),
-        )
-        _save_csv(
-            os.path.join(out_dir, f"mnorm_nm{nm:03d}.csv"),
-            "t_half,m_frob",
-            np.column_stack([0.5 * (traj.times[:-1] + traj.times[1:]), traj.frob]),
-        )
-        fem = basis.fem
+        _save_csv(out_dir, f"errors_nm{nm:03d}.csv", "t,eps_l2,eps_amp",
+                  np.column_stack([traj.times, eps, amp]))
+        _save_csv(out_dir, f"mnorm_nm{nm:03d}.csv", "t_half,m_frob",
+                  np.column_stack([0.5 * (traj.times[:-1] + traj.times[1:]), traj.frob]))
         for i in snap_indices:
-            tag = f"t{round(100 * i / n):03d}"
-            _save_csv(
-                os.path.join(out_dir, f"snapshot_nm{nm:03d}_{tag}.csv"),
-                _snapshot_header(fem),
-                _snapshot_rows(fem, ref[i], snaps[i]),
-            )
+            _save_csv(out_dir, f"snapshot_nm{nm:03d}_t{round(100 * i / n):03d}.csv",
+                      _snapshot_header(basis.fem), _snapshot_rows(basis.fem, ref[i], snaps[i]))
     row = MetricsRow(
         nm=nm,
         mean_eps_l2=float(np.mean(eps)),
@@ -412,38 +409,25 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     if cfg.problem == "scsa":
         raise ValueError("use run_scsa for static signal experiments")
     out_dir = cfg.out_dir
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-
-    fem = _build_space(cfg)
-    u0 = _initial_condition(cfg, fem)
+    nm_max = max(cfg.nm_list)
+    fem, u0, basis_full, model = _setup(cfg, nm_max)
     n_steps = cfg.solver().n_steps()
     ref = _reference_series(cfg, fem, u0, n_steps)
-    nm_max = max(cfg.nm_list)
-    basis_full = solve_schrodinger_eig(fem, u0, cfg.chi, nm_max)
-    model, law = _make_model(cfg, basis_full)
     log.info("[%s] %d dofs, %d steps, modes up to %d",
              cfg.problem, fem.n_active, n_steps, nm_max)
 
-    report = MetricsReport(problem=cfg.problem, out_dir=out_dir)
+    report = MetricsReport()
     for nm in cfg.nm_list:
         try:
-            row, _ = _run_one_nm(cfg, basis_full, model, law, u0, ref, nm, out_dir)
+            row, _ = _run_one_nm(cfg, basis_full, model, u0, ref, nm, out_dir)
             report.rows.append(row)
         except Exception as exc:  # noqa: BLE001 - reported per N_M
             report.errors[nm] = f"{type(exc).__name__}: {exc}"
 
     if out_dir is not None:
-        table = np.array(
-            [[r.nm, r.mean_eps_l2, r.max_eps_l2, r.eps_final, r.eps_amp]
-             for r in report.rows]
-        )
-        if table.size:
-            _save_csv(
-                os.path.join(out_dir, "table.csv"),
-                "nm,mean_eps_l2,max_eps_l2,eps_final,eps_amp",
-                table,
-            )
+        if report.rows:
+            _save_csv(out_dir, "table.csv", _TABLE_HEADER,
+                      np.array([astuple(r) for r in report.rows]))
         _write_manifest(cfg, out_dir)
         if report.errors:
             with open(os.path.join(out_dir, "failures.txt"), "w") as f:
@@ -462,43 +446,22 @@ def compare_frobenius(cfg: ExperimentConfig):
     if cfg.problem == "scsa":
         raise ValueError("frobenius comparison needs a dynamic problem")
     out_dir = cfg.out_dir
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    fem = _build_space(cfg)
-    u0 = _initial_condition(cfg, fem)
-    nm_max = max(max(cfg.nm_list), cfg.nm_ref)
-    basis_full = solve_schrodinger_eig(fem, u0, cfg.chi, nm_max)
-    model, _ = _make_model(cfg, basis_full)
-
-    def frob_series(nm):
-        basis = basis_full.truncate(nm)
-        coeffs0 = _initial_coeffs(cfg, basis, model, u0)
-        traj = run(basis, coeffs0, model, cfg.solver())
-        return traj
-
-    traj_ref = frob_series(cfg.nm_ref)
-    ref = traj_ref.frob
+    _, u0, basis_full, model = _setup(cfg, max(max(cfg.nm_list), cfg.nm_ref))
+    ref = _trajectory(cfg, basis_full, model, u0, cfg.nm_ref)[1].frob
     if np.any(ref == 0.0):
         raise ValueError("reference residual norm vanishes; eps_M undefined")
     rows = []
     for nm in cfg.nm_list:
-        traj = frob_series(nm)
+        _, traj = _trajectory(cfg, basis_full, model, u0, nm)
         series = np.abs(traj.frob - ref) / ref
         rows.append((nm, float(np.mean(series)), float(np.max(series))))
         log.info("[%s] N_M=%3d  mean eps_M=%.3e", cfg.problem, nm, rows[-1][1])
         if out_dir is not None:
             t_half = 0.5 * (traj.times[:-1] + traj.times[1:])
-            _save_csv(
-                os.path.join(out_dir, f"eps_m_nm{nm:03d}.csv"),
-                "t_half,eps_m",
-                np.column_stack([t_half, series]),
-            )
+            _save_csv(out_dir, f"eps_m_nm{nm:03d}.csv", "t_half,eps_m",
+                      np.column_stack([t_half, series]))
     if out_dir is not None:
-        _save_csv(
-            os.path.join(out_dir, "frobenius.csv"),
-            "nm,mean_eps_m,max_eps_m",
-            np.array(rows),
-        )
+        _save_csv(out_dir, "frobenius.csv", "nm,mean_eps_m,max_eps_m", np.array(rows))
         _write_manifest(cfg, out_dir)
     return rows
 
@@ -513,20 +476,14 @@ def run_scsa(cfg: ExperimentConfig):
     if not cfg.chi_grid:
         raise ValueError("scsa needs a chi_grid")
     out_dir = cfg.out_dir
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-
-    # Neumann by default: shifted signals keep a nonzero baseline at the
-    # boundary that Dirichlet modes cannot represent
     if cfg.signal == "double_gaussian":
-        mesh = build_uniform_mesh_1d(cfg.a, cfg.b, cfg.n_nodes)
-        fem = assemble(mesh, cfg.bc or NEUMANN)
+        fem = _build_space(cfg)
         x = fem.coords
         u = np.exp(-250.0 * (x - 0.25) ** 2) - np.exp(-250.0 * (x - 0.75) ** 2)
     else:
         x_full, u_full = read_signal_csv(cfg.signal)
-        mesh = build_uniform_mesh_1d(float(x_full[0]), float(x_full[-1]), x_full.size)
-        fem = assemble(mesh, cfg.bc or NEUMANN)
+        fem = _build_space(replace(cfg, a=float(x_full[0]), b=float(x_full[-1]),
+                                   n_nodes=x_full.size))
         u = u_full[fem.active]
 
     u_shifted, offset = shift_nonnegative(u)
@@ -540,16 +497,8 @@ def run_scsa(cfg: ExperimentConfig):
         n, chi_b, err_b = res.best[-1]
         log.info("[scsa] %s: best at cap n=%d: chi=%g err=%.3e", method, n, chi_b, err_b)
         if out_dir is not None:
-            _save_csv(
-                os.path.join(out_dir, f"sweep_{method}.csv"),
-                "chi,n_modes,error",
-                np.array(res.rows),
-            )
-            _save_csv(
-                os.path.join(out_dir, f"best_{method}.csv"),
-                "n_modes,chi,error",
-                np.array(res.best),
-            )
+            _save_csv(out_dir, f"sweep_{method}.csv", "chi,n_modes,error", np.array(res.rows))
+            _save_csv(out_dir, f"best_{method}.csv", "n_modes,chi,error", np.array(res.best))
     if out_dir is not None:
         if len(results) > 1:
             caps = [np.array(res.best) for res in results.values()]
@@ -558,7 +507,7 @@ def run_scsa(cfg: ExperimentConfig):
             for method, arr in zip(results, caps):
                 combined = np.column_stack([combined, arr[:, 1:]])
                 header += [f"chi_{method}", f"err_{method}"]
-            _save_csv(os.path.join(out_dir, "summary.csv"), ",".join(header), combined)
+            _save_csv(out_dir, "summary.csv", ",".join(header), combined)
         _write_manifest(cfg, out_dir)
     return results
 
@@ -574,8 +523,6 @@ def run_chi_sweep(cfg: ExperimentConfig):
     if not cfg.chi_grid:
         raise ValueError("sweep needs a chi_grid")
     out_dir = cfg.out_dir
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
     reports = {}
     combined = []
     for chi in cfg.chi_grid:
@@ -587,15 +534,8 @@ def run_chi_sweep(cfg: ExperimentConfig):
         log.info("[sweep] chi = %g", chi)
         rep = run_experiment(sub)
         reports[float(chi)] = rep
-        combined.extend(
-            [chi, r.nm, r.mean_eps_l2, r.max_eps_l2, r.eps_final, r.eps_amp]
-            for r in rep.rows
-        )
+        combined.extend((chi, *astuple(r)) for r in rep.rows)
     if out_dir is not None and combined:
-        _save_csv(
-            os.path.join(out_dir, "sweep.csv"),
-            "chi,nm,mean_eps_l2,max_eps_l2,eps_final,eps_amp",
-            np.array(combined),
-        )
+        _save_csv(out_dir, "sweep.csv", "chi," + _TABLE_HEADER, np.array(combined))
         _write_manifest(cfg, out_dir)
     return reports

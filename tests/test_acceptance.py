@@ -85,14 +85,10 @@ def kdv3_eigen_table():
 def _soliton_run(name):
     """Soliton-basis run giving the error row, amplitude drift and model."""
     cfg = preset(name)
-    fem = harness._build_space(cfg)
-    u0 = harness._initial_condition(cfg, fem)
-    n_steps = cfg.solver().n_steps()
-    ref = harness._reference_series(cfg, fem, u0, n_steps)
     nm = max(cfg.nm_list)
-    basis_full = solve_schrodinger_eig(fem, u0, cfg.chi, nm)
-    model, law = harness._make_model(cfg, basis_full)
-    row, traj = harness._run_one_nm(cfg, basis_full, model, law, u0, ref, nm, None)
+    fem, u0, basis_full, model = harness._setup(cfg, nm)
+    ref = harness._reference_series(cfg, fem, u0, cfg.solver().n_steps())
+    row, traj = harness._run_one_nm(cfg, basis_full, model, u0, ref, nm, None)
     drift = float(np.abs(traj.coeffs - traj.coeffs[0]).max())
     return row, drift, model
 

@@ -1,5 +1,6 @@
 """Configuration parsing, error indicators and the experiment drivers."""
 
+import configparser
 import os
 
 import numpy as np
@@ -12,6 +13,7 @@ from laxrom import (
     compare_frobenius,
     eps_amplitude,
     eps_l2,
+    harness,
     load_config,
     run_chi_sweep,
     run_experiment,
@@ -46,10 +48,7 @@ def write_config(tmp_path, text, name="exp.ini"):
 # configuration files
 
 
-def test_config_round_trip(tmp_path):
-    path = write_config(
-        tmp_path,
-        """
+ROUND_TRIP = """
 [experiment]
 problem = kdv_soliton
 out_dir = results
@@ -70,8 +69,46 @@ tol_deg = 1e-7
 beta_speed = 4.0
 x0 = 0.0
 amplitude_law = separated
-""",
-    )
+"""
+
+# every key ROUND_TRIP leaves at its default
+ROUND_TRIP_REST = """
+[experiment]
+problem = fkpp
+[mesh]
+n_per_side = 6
+bc = Dirichlet
+[reduction]
+chi = 25
+nm_list = 4 8
+nm_ref = 12
+[time]
+dt = 0.01
+t_max = 0.05
+[solver]
+fp_max_iters = 7
+[model]
+c = 0.25
+nu = 50
+c_scatter = 0.05, 0.15
+k_scatter = 1.0 1.5
+[scsa]
+signal = signal.csv
+chi_grid = 10, 20.5
+n_modes_cap = 7
+methods = eigen
+"""
+
+
+def test_config_round_trip(tmp_path):
+    covered = set()
+    for text in (ROUND_TRIP, ROUND_TRIP_REST):
+        parser = configparser.ConfigParser()
+        parser.read_string(text)
+        covered |= {key for section in parser.sections() for key in parser[section]}
+    assert covered == {key for keys in harness._SCHEMA.values() for key in keys}
+
+    path = write_config(tmp_path, ROUND_TRIP)
     cfg = load_config(path)
     assert cfg.problem == "kdv_soliton"
     assert cfg.out_dir == "results"
@@ -82,6 +119,16 @@ amplitude_law = separated
     assert cfg.beta_speed == 4.0 and cfg.amplitude_law == "separated"
     assert cfg.source_path == str(path)
     assert len(cfg.source_hash) == 64
+
+    cfg = load_config(write_config(tmp_path, ROUND_TRIP_REST, "rest.ini"))
+    assert cfg.problem == "fkpp" and cfg.out_dir is None
+    assert cfg.n_per_side == 6 and cfg.bc == "dirichlet"
+    assert cfg.chi == 25.0 and cfg.nm_list == (4, 8) and cfg.nm_ref == 12
+    assert cfg.fp_max_iters == 7
+    assert cfg.c == 0.25 and cfg.nu == 50.0
+    assert cfg.c_scatter == (0.05, 0.15) and cfg.k_scatter == (1.0, 1.5)
+    assert cfg.signal == "signal.csv" and cfg.chi_grid == (10.0, 20.5)
+    assert cfg.n_modes_cap == 7 and cfg.methods == ("eigen",)
 
 
 def test_config_rejects_unknown_section(tmp_path):
