@@ -3,7 +3,9 @@
 The reduced basis consists of the lowest eigenfunctions of the operator
 L u = -laplacian u - chi * u0 * u built from the initial condition u0.  In
 discrete form this is the generalized symmetric pencil (K - chi W(u0), G)
-with G the mass matrix, so the modes come out G-orthonormal.
+with G the mass matrix, so the modes come out G-orthonormal.  A few modes of
+a large mesh come from a sparse shift-invert Lanczos solve (ARPACK); small
+meshes and requests for a large share of the spectrum use a dense solve.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from .mesh import FemOperators, assemble_weighted_mass
 
@@ -25,6 +28,17 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-8
+
+
+def use_shift_invert(n_dofs: int, n_modes: int) -> bool:
+    """Whether the sparse shift-invert solve serves this request.
+
+    Timed on 1D and 2D P1 meshes, the dense solve is as fast or faster up to
+    200 dofs, and faster from about a fifth of the spectrum on (a quarter
+    with one BLAS thread); at a third, ARPACK takes about twice as long.
+    eigsh also needs n_modes < n_dofs.
+    """
+    return n_dofs > 200 and 5 * n_modes < n_dofs
 
 
 class EigensolveError(RuntimeError):
@@ -83,10 +97,23 @@ def solve_schrodinger_eig(
     if chi <= 0:
         raise ValueError("chi must be positive")
 
-    A = (fem.stiffness - chi * assemble_weighted_mass(fem, u0_nodal)).toarray()
-    A = 0.5 * (A + A.T)
-    G = fem.mass.toarray()
-    lam, B = scipy.linalg.eigh(A, G, subset_by_index=(0, n_modes - 1))
+    A = fem.stiffness - chi * assemble_weighted_mass(fem, u0_nodal)
+    A = (0.5 * (A + A.T)).tocsc()
+    G = fem.mass.tocsc()
+    if use_shift_invert(fem.n_active, n_modes):
+        # K is positive semidefinite and W(u0) <= max(u0) G, so sigma lies
+        # below the spectrum and the modes nearest it are the lowest ones
+        sigma = -chi * max(float(u0_nodal.max()), 0.0) - 1.0
+        # a start vector with no symmetry, so no mode is missing from the
+        # Krylov space when the mesh and u0 share a reflection
+        v0 = np.random.default_rng(0).standard_normal(fem.n_active)
+        lam, B = spla.eigsh(A, n_modes, M=G, sigma=sigma, which="LM", v0=v0, tol=0)
+        order = np.argsort(lam)
+        lam, B = lam[order], B[:, order]
+        B = B / np.sqrt(np.einsum("ij,ij->j", B, G @ B))
+    else:
+        lam, B = scipy.linalg.eigh(A.toarray(), G.toarray(),
+                                   subset_by_index=(0, n_modes - 1))
 
     # deterministic orientation: largest |entry| of each mode positive
     pick = np.argmax(np.abs(B), axis=0)

@@ -137,7 +137,10 @@ def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     with open(path) as f:
         raw = f.read()
-    parser.read_string(raw)
+    try:
+        parser.read_string(raw, source=str(path))
+    except configparser.Error as exc:  # repeated key, no section header, ...
+        raise ValueError(str(exc).splitlines()[0]) from None
 
     values = {}
     for section in parser.sections():
@@ -189,6 +192,19 @@ def _check(cfg: ExperimentConfig) -> None:
     n_max = cfg.n_modes_cap if cfg.problem == "scsa" else max(cfg.nm_list)
     if n_max > dofs:
         raise ValueError(f"{n_max} modes requested from a mesh of {dofs} dofs")
+
+
+def check_frobenius(cfg: ExperimentConfig) -> None:
+    """What compare_frobenius needs beyond load_config (ValueError).
+
+    Only frobenius reads nm_ref, so load_config cannot hold it to the mesh;
+    the command line calls this before it writes anything.
+    """
+    if cfg.problem == "scsa":
+        raise ValueError("frobenius comparison needs a dynamic problem")
+    dofs = _build_space(cfg).n_active
+    if cfg.nm_ref > dofs:
+        raise ValueError(f"nm_ref = {cfg.nm_ref} modes requested from a mesh of {dofs} dofs")
 
 
 def eps_l2(fem, u_ref: np.ndarray, u_num: np.ndarray) -> float:

@@ -83,8 +83,10 @@ def kdv_n_soliton(c, k, x: np.ndarray, t: float) -> np.ndarray:
     P[:] = Chat[None]
     P[:, np.arange(k.size), np.arange(k.size)] += e2
 
-    S1 = np.linalg.solve(P, np.broadcast_to(C1, P.shape))
-    S2 = np.linalg.solve(P, np.broadcast_to(C2, P.shape))
+    # one factorization of P per point serves both right-hand sides
+    rhs = np.hstack([C1, C2])
+    S = np.linalg.solve(P, np.broadcast_to(rhs, (x.size, *rhs.shape)))
+    S1, S2 = S[..., :k.size], S[..., k.size:]
     tr2 = np.trace(S2, axis1=1, axis2=2)
     tr11 = np.einsum("qij,qji->q", S1, S1)
     return 2.0 * (tr2 - tr11)

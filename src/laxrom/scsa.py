@@ -60,6 +60,23 @@ def eigen_expansion(u_nodal: np.ndarray, chi: float, n_modes: int, fem: FemOpera
     return approx, _rel_error(fem, u_nodal, approx)
 
 
+def _bound_states(u_nodal: np.ndarray, chi: float, fem: FemOperators, tol_deg: float):
+    """kappa_m = sqrt(-lambda_m) and modes phi_m of every lambda_m < -tol_deg.
+
+    Asks for 8 states and doubles the request, up to the dof count, until
+    the highest eigenvalue returned is no longer bound, so only the bound
+    states and a few more are solved for.
+    """
+    k = min(8, fem.n_active)
+    while True:
+        basis = solve_schrodinger_eig(fem, u_nodal, chi, k)
+        if basis.lam[-1] >= -tol_deg or k == fem.n_active:
+            break
+        k = min(2 * k, fem.n_active)
+    neg = basis.lam < -tol_deg
+    return np.sqrt(-basis.lam[neg]), basis.B[:, neg]
+
+
 def soliton_expansion(
     u_nodal: np.ndarray,
     chi: float,
@@ -77,15 +94,9 @@ def soliton_expansion(
     u_nodal = np.asarray(u_nodal, dtype=float)
     if u_nodal.min() < -0.0:
         raise ValueError("signal must be nonnegative; apply shift_nonnegative first")
-    basis = solve_schrodinger_eig(fem, u_nodal, chi, fem.n_active)
-    neg = basis.lam < -tol_deg
-    n_neg = int(np.count_nonzero(neg))
-    if n_neg == 0:
-        approx = np.zeros_like(u_nodal)
-    else:
-        kappa = np.sqrt(-basis.lam[neg])
-        approx = (4.0 / chi) * ((basis.B[:, neg] ** 2) @ kappa)
-    return approx, _rel_error(fem, u_nodal, approx), n_neg
+    kappa, phi = _bound_states(u_nodal, chi, fem, tol_deg)
+    approx = (4.0 / chi) * ((phi**2) @ kappa)
+    return approx, _rel_error(fem, u_nodal, approx), kappa.size
 
 
 @dataclass
@@ -137,10 +148,8 @@ def chi_sweep(
             beta, _ = initial_projection(basis, u_nodal)
             parts = basis.B * beta[None, :]
         else:
-            basis = solve_schrodinger_eig(fem, u_nodal, chi, fem.n_active)
-            neg = basis.lam < -tol_deg
-            kappa = np.sqrt(-basis.lam[neg])
-            parts = (4.0 / chi) * (basis.B[:, neg] ** 2) * kappa[None, :]
+            kappa, phi = _bound_states(u_nodal, chi, fem, tol_deg)
+            parts = (4.0 / chi) * (phi**2) * kappa[None, :]
         # column n - 1 holds the n-term approximation
         partial = np.cumsum(parts[:, :cap], axis=1)
         for n in range(1, cap + 1):

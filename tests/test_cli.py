@@ -105,11 +105,18 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
          "kdv_soliton needs chi = 1, got 2"),
         ("scsa", scsa + "[sweep]\nchi_grid = 50\n", "chi_grid is set in more than one section"),
         ("scsa", scsa + "methods = eigen, soliton, eigen\n", "each once"),
+        ("run", ADVECTION_INI.replace("chi = 60", "chi = 60\nchi = 70"), "already exists"),
+        ("run", ADVECTION_INI.replace("[experiment]\n", ""), "no section headers"),
+        ("frobenius", ADVECTION_INI.replace("chi = 60", "chi = 60\nnm_ref = 100"),
+         "nm_ref = 100 modes requested from a mesh of 79 dofs"),
+        ("frobenius", scsa, "needs a dynamic problem"),
     ]:
         path.write_text(text)
         out = tmp_path / "out"
         assert main([command, str(path), "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1  # one line
         assert not out.exists()  # rejected before any work
 
 

@@ -8,9 +8,11 @@ from laxrom import (
     build_uniform_mesh_1d,
     build_structured_square_mesh,
     choose_chi,
+    eigenbasis,
     initial_projection,
     solve_schrodinger_eig,
 )
+from laxrom.eigenbasis import EigensolveError, use_shift_invert
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +164,76 @@ def test_choose_chi_never_met(interval):
     assert not sel.met
     assert sel.chi == 60.0
     assert len(sel.errors) == 2
+
+
+def _dense_and_sparse(monkeypatch, fem, u0, chi, n_modes):
+    assert use_shift_invert(fem.n_active, n_modes)
+    sparse = solve_schrodinger_eig(fem, u0, chi, n_modes)
+    with monkeypatch.context() as m:
+        m.setattr(eigenbasis, "use_shift_invert", lambda n_dofs, n_modes: False)
+        dense = solve_schrodinger_eig(fem, u0, chi, n_modes)
+    np.testing.assert_allclose(sparse.lam, dense.lam, rtol=1e-9, atol=0.0)
+    gram = sparse.B.T @ (fem.mass @ sparse.B)
+    assert np.abs(gram - np.eye(n_modes)).max() < 1e-12
+    return sparse, dense
+
+
+def test_shift_invert_matches_dense_1d(monkeypatch):
+    fem = assemble(build_uniform_mesh_1d(0.0, 1.0, 501), "dirichlet")
+    u0 = np.exp(-250 * (fem.coords - 0.4) ** 2)
+    sparse, dense = _dense_and_sparse(monkeypatch, fem, u0, 150.0, 20)
+    # simple spectrum: after the sign fix the modes agree entry by entry
+    np.testing.assert_allclose(sparse.B, dense.B, rtol=0.0, atol=1e-8)
+
+
+def test_shift_invert_symmetric_double_well(monkeypatch):
+    # the fkpp1d preset: the mesh and u0 share the reflection x -> 1 - x and
+    # the lowest modes come in near-degenerate even/odd pairs, so a start
+    # vector with that symmetry could leave the odd modes out
+    fem = assemble(build_uniform_mesh_1d(0.0, 1.0, 251), "neumann")
+    x = fem.coords
+    u0 = np.exp(-100 * (x - 0.25) ** 2) + np.exp(-100 * (x - 0.75) ** 2)
+    sparse, _ = _dense_and_sparse(monkeypatch, fem, u0, 500.0, 16)
+    assert sparse.lam[1] - sparse.lam[0] < 1e-2 * abs(sparse.lam[0])
+
+
+def test_shift_invert_matches_dense_2d_clusters(monkeypatch):
+    fem = assemble(build_structured_square_mesh(20), "neumann")
+    assert fem.n_active >= 400
+    xy = fem.coords
+    u0 = np.exp(-30 * ((xy[:, 0] - 0.5) ** 2 + (xy[:, 1] - 0.5) ** 2))
+    sparse, dense = _dense_and_sparse(monkeypatch, fem, u0, 40.0, 30)
+    # the near-symmetric square has nearly equal pairs, inside which the
+    # basis is arbitrary: compare each cluster's span by principal angles
+    lam = dense.lam
+    cuts = np.flatnonzero(np.diff(lam) > 1e-2 * (np.abs(lam[1:]) + 1.0)) + 1
+    clusters = np.split(np.arange(lam.size), cuts)
+    assert max(c.size for c in clusters) > 1
+    for c in clusters:
+        cosines = np.linalg.svd(sparse.B[:, c].T @ (fem.mass @ dense.B[:, c]),
+                                compute_uv=False)
+        assert cosines.min() > 1.0 - 1e-9
+
+
+def test_shift_invert_threshold():
+    assert not use_shift_invert(199, 5)      # the unit-test interval
+    assert not use_shift_invert(200, 5)
+    assert use_shift_invert(201, 5)
+    assert use_shift_invert(5776, 30)        # the 2D preset
+    assert use_shift_invert(600, 119)
+    assert not use_shift_invert(600, 120)    # a fifth of the spectrum
+    assert not use_shift_invert(500, 500)    # the full spectrum
+
+
+def test_shift_invert_residual_check_catches_loose_solve(monkeypatch):
+    fem = assemble(build_uniform_mesh_1d(0.0, 1.0, 500), "neumann")
+    u0 = np.exp(-250 * (fem.coords - 0.25) ** 2)
+    eigsh = eigenbasis.spla.eigsh
+
+    def loose(*args, **kwargs):
+        return eigsh(*args, **{**kwargs, "tol": 1e-2, "ncv": 22})
+
+    monkeypatch.setattr(eigenbasis.spla, "eigsh", loose)
+    assert use_shift_invert(fem.n_active, 20)
+    with pytest.raises(EigensolveError, match="residual"):
+        solve_schrodinger_eig(fem, u0, 100.0, 20)

@@ -9,6 +9,7 @@ from laxrom import (
     chi_sweep,
     eigen_expansion,
     read_signal_csv,
+    scsa,
     shift_nonnegative,
     soliton_expansion,
 )
@@ -82,6 +83,34 @@ def test_chi_sweep_soliton_monotone_in_budget(interval, double_gaussian):
     sweep = chi_sweep(double_gaussian, [250.0], 6, "soliton", interval)
     errs = [e for _, n, e in sweep.rows]
     assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
+
+
+def test_bound_state_growth_matches_full_spectrum(monkeypatch):
+    # the scsa preset's signal; at chi = 500 it has 8 bound states, so the
+    # first request of 8 comes back all bound and is doubled once
+    fem = assemble(build_uniform_mesh_1d(0.0, 1.0, 500), "neumann")
+    x = fem.coords
+    u, _ = shift_nonnegative(np.exp(-250.0 * (x - 0.25) ** 2)
+                             - np.exp(-250.0 * (x - 0.75) ** 2))
+    requested = []
+    solve = scsa.solve_schrodinger_eig
+
+    def counting(fem, u, chi, n_modes):
+        requested.append(n_modes)
+        return solve(fem, u, chi, n_modes)
+
+    monkeypatch.setattr(scsa, "solve_schrodinger_eig", counting)
+    for chi, n_bound, requests in ((150.0, 4, [8]), (500.0, 8, [8, 16])):
+        requested.clear()
+        approx, err, n_neg = soliton_expansion(u, chi, fem)
+        assert requested == requests
+        full = solve(fem, u, chi, fem.n_active)
+        neg = full.lam < -1e-8
+        expect = (4.0 / chi) * ((full.B[:, neg] ** 2) @ np.sqrt(-full.lam[neg]))
+        assert n_neg == np.count_nonzero(neg) == n_bound
+        assert fem.norm(approx - expect) <= 1e-9 * fem.norm(expect)
+        sweep = chi_sweep(u, [chi], 10, "soliton", fem)
+        assert sweep.rows[-1][2] == pytest.approx(err, rel=1e-12)
 
 
 def test_chi_sweep_validates_input(interval, double_gaussian):
