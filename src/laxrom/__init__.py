@@ -34,6 +34,8 @@ from .tensors import (  # noqa: F401
     assemble_T,
     bracket3,
     commutator,
+    pack_symmetric,
+    unpack_symmetric,
 )
 from .dynamics import (  # noqa: F401
     FixedPointError,

@@ -11,21 +11,34 @@ at every nonlinear iteration:
     T' = {M, T}       (rank-3 bracket)
     X' = [X, M]       for each auxiliary matrix X
 
+T is held in y by its n(n+1)(n+2)/6 unique entries (i <= j <= k), and the
+bracket computes only those.  Each right-hand side evaluation unpacks T
+once and shares the full tensor with M, the eigenvalue law and the model.
+
 Each stage of the iteration (midpoint, proposal, change, scale) is one
-elementwise operation on the whole of y, and the named fields are views
-into it.  No state vector is ever written in place, so states are shared
-without copying.
+elementwise operation on the whole of y, and the other named fields are
+views into it.  No state vector is ever written in place, so states are
+shared without copying.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .eigenbasis import ReducedBasis
 from .models import EquationModel
-from .tensors import assemble_T, assemble_D, assemble_D3, bracket3, commutator
+from .tensors import (
+    assemble_D,
+    assemble_D3,
+    assemble_T,
+    bracket3,
+    commutator,
+    pack_symmetric,
+    unpack_symmetric,
+)
 
 __all__ = [
     "FixedPointError",
@@ -68,23 +81,29 @@ class SolverConfig:
 class StateLayout:
     """Offsets of the fields in the flat state vector.
 
-    y = [coeffs, lambda, T (row-major), the aux matrices in ``aux_names``
-    order]; the offsets are computed once, not on every evaluation.
+    y = [coeffs, lambda, the unique entries of T (``pack_symmetric``
+    order), the aux matrices in ``aux_names`` order]; the offsets are
+    computed once, not on every evaluation.
     """
 
     def __init__(self, n_coeffs: int, n_modes: int, aux_names: tuple):
-        self.n_modes = n_modes
+        self.n_modes = n = n_modes
         self.aux_names = tuple(aux_names)
-        sizes = [n_coeffs, n_modes, n_modes**3] + [n_modes**2] * len(self.aux_names)
+        sizes = [n_coeffs, n, n * (n + 1) * (n + 2) // 6] + [n * n] * len(self.aux_names)
         ends = np.cumsum(sizes).tolist()
         self._slices = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
 
-    def split(self, y: np.ndarray):
-        """Views (coeffs, lam, T, aux dict) into y."""
+    def views(self, y: np.ndarray):
+        """Views (coeffs, lam, packed T, aux dict) into y."""
         n = self.n_modes
-        coeffs, lam, T, *mats = (y[s] for s in self._slices)
+        coeffs, lam, t, *mats = (y[s] for s in self._slices)
         aux = {k: X.reshape(n, n) for k, X in zip(self.aux_names, mats)}
-        return coeffs, lam, T.reshape(n, n, n), aux
+        return coeffs, lam, t, aux
+
+    def split(self, y: np.ndarray):
+        """(coeffs, lam, T, aux dict) of y, with T unpacked to (n, n, n)."""
+        coeffs, lam, t, aux = self.views(y)
+        return coeffs, lam, unpack_symmetric(t, self.n_modes), aux
 
 
 def _pack(*fields) -> np.ndarray:
@@ -95,8 +114,9 @@ def _pack(*fields) -> np.ndarray:
 class ReducedState:
     """Reduced variables at one time level, held in one flat vector.
 
-    ``y`` is made read-only on construction; ``coeffs``, ``lam``, ``T`` and
-    ``aux`` are views into it laid out by ``layout``.
+    ``y`` is made read-only on construction; ``coeffs``, ``lam`` and ``aux``
+    are views into it laid out by ``layout``.  ``T`` is the full read-only
+    (n, n, n) tensor, unpacked from y on first access.
     """
 
     y: np.ndarray
@@ -104,12 +124,17 @@ class ReducedState:
     layout: StateLayout = field(repr=False)
     coeffs: np.ndarray = field(init=False, repr=False)
     lam: np.ndarray = field(init=False, repr=False)
-    T: np.ndarray = field(init=False, repr=False)
     aux: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.y.flags.writeable = False
-        self.coeffs, self.lam, self.T, self.aux = self.layout.split(self.y)
+        self.coeffs, self.lam, _, self.aux = self.layout.views(self.y)
+
+    @cached_property
+    def T(self) -> np.ndarray:
+        T = self.layout.split(self.y)[2]
+        T.flags.writeable = False
+        return T
 
 
 def build_M(lam, T, gamma, chi: float, tol_deg: float = 1e-8) -> np.ndarray:
@@ -184,16 +209,14 @@ def step_midpoint(state: ReducedState, model: EquationModel, cfg: SolverConfig):
         prop = y + dt * _rhs(0.5 * (y + new), layout, model, cfg)
         last_delta = float(np.abs(prop - new).max())
         if not np.isfinite(last_delta):
-            raise FixedPointError(
-                f"midpoint iteration diverged at t={state.t:.6g}"
-            )
+            raise FixedPointError(f"at t={state.t:.6g}: midpoint iteration diverged")
         new = prop
         if last_delta <= cfg.fp_tol * scale:
             break
     else:
         raise FixedPointError(
-            f"no convergence in {cfg.fp_max_iters} iterations at "
-            f"t={state.t:.6g} (last delta {last_delta:.3e})"
+            f"at t={state.t:.6g}: no convergence in {cfg.fp_max_iters} "
+            f"iterations (last delta {last_delta:.3e})"
         )
     _, m_half = _generator(layout.split(0.5 * (y + new)), model, cfg)
     return ReducedState(new, state.t + dt, layout), m_half
@@ -211,7 +234,7 @@ def initial_state(basis: ReducedBasis, coeffs0: np.ndarray, model: EquationModel
         else:
             raise ValueError(f"unknown auxiliary operator {kind!r}")
     layout = StateLayout(coeffs0.size, basis.n_modes, model.required_aux)
-    y = _pack(coeffs0, basis.lam, assemble_T(basis), *aux)
+    y = _pack(coeffs0, basis.lam, pack_symmetric(assemble_T(basis)), *aux)
     return ReducedState(y, 0.0, layout)
 
 
@@ -245,7 +268,11 @@ def run(
     model: EquationModel,
     cfg: SolverConfig,
 ) -> Trajectory:
-    """Integrate the reduced system over [0, t_max]."""
+    """Integrate the reduced system over [0, t_max].
+
+    A FixedPointError is raised again with the mode count and the index of
+    the failed step prefixed to its message.
+    """
     if cfg.chi != basis.chi:
         raise ValueError(f"config chi={cfg.chi} but basis was built with {basis.chi}")
     n_steps = cfg.n_steps()
@@ -264,7 +291,10 @@ def run(
     lambdas[0] = state.lam
     first = state
     for k in range(n_steps):
-        state, M = step_midpoint(state, model, cfg)
+        try:
+            state, M = step_midpoint(state, model, cfg)
+        except FixedPointError as exc:
+            raise FixedPointError(f"N_M={n} step {k} {exc}") from None
         times[k + 1] = state.t
         coeffs[k + 1] = state.coeffs
         lambdas[k + 1] = state.lam

@@ -5,9 +5,16 @@ matrix D_ij = <dphi_j/dx, phi_i>, the third-derivative matrix D3, and the
 algebraic brackets driving their evolution.  All quadrature is exact for the
 piecewise-polynomial integrands, so these are the Galerkin values up to
 roundoff.
+
+T is fully symmetric, and so is its evolution {M, T}; the packed form holds
+only its n(n+1)(n+2)/6 entries with i <= j <= k, in row-major order
+(``SymmetricIndex``).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +26,55 @@ __all__ = [
     "assemble_D3",
     "bracket3",
     "commutator",
+    "symmetric_index",
+    "pack_symmetric",
+    "unpack_symmetric",
 ]
+
+
+class SymmetricIndex(NamedTuple):
+    """Flat index maps between a symmetric (n, n, n) tensor and its packing.
+
+    ``unique`` holds the row-major positions of the entries with
+    i <= j <= k, ``unpack`` the packed position of every full entry, and
+    ``swap`` and ``rotate`` the positions of (j, i, k) and (k, i, j) for each
+    unique (i, j, k).
+    """
+
+    unique: np.ndarray
+    unpack: np.ndarray
+    swap: np.ndarray
+    rotate: np.ndarray
+
+
+@lru_cache(maxsize=1)  # a trajectory keeps one mode count; a rebuild takes ms
+def symmetric_index(n: int) -> SymmetricIndex:
+    """The (read-only, cached) index maps for n modes."""
+    i, j, k = np.indices((n, n, n)).reshape(3, -1)
+    unique = np.flatnonzero((i <= j) & (j <= k))
+    rank = np.zeros(n**3, dtype=np.intp)
+    rank[unique] = np.arange(unique.size)
+    lo, mid, hi = np.sort(np.stack([i, j, k]), axis=0)
+    i, j, k = i[unique], j[unique], k[unique]
+    maps = SymmetricIndex(
+        unique=unique,
+        unpack=rank[(lo * n + mid) * n + hi],
+        swap=(j * n + i) * n + k,
+        rotate=(k * n + i) * n + j,
+    )
+    for a in maps:
+        a.flags.writeable = False
+    return maps
+
+
+def pack_symmetric(T: np.ndarray) -> np.ndarray:
+    """The unique entries (i <= j <= k) of a symmetric (n, n, n) tensor."""
+    return T.ravel()[symmetric_index(T.shape[0]).unique]
+
+
+def unpack_symmetric(packed: np.ndarray, n: int) -> np.ndarray:
+    """The full (n, n, n) tensor from its unique entries: one gather."""
+    return packed[symmetric_index(n).unpack].reshape(n, n, n)
 
 
 def assemble_T(basis: ReducedBasis) -> np.ndarray:
@@ -27,8 +82,9 @@ def assemble_T(basis: ReducedBasis) -> np.ndarray:
 
     Evaluated by sampling the modes at the element quadrature points (the
     rule is exact for the piecewise-cubic product) and contracting one mode
-    index at a time, then averaged over index permutations so the result is
-    exactly symmetric.
+    index at a time.  The entries with i <= j <= k are kept and the rest
+    filled from them, so the result is exactly symmetric and
+    ``unpack_symmetric(pack_symmetric(T), n)`` reproduces it bit for bit.
     """
     qw, values, _ = basis.fem.quadrature()
     P = values @ basis.B  # (n_quad, n_modes)
@@ -37,15 +93,7 @@ def assemble_T(basis: ReducedBasis) -> np.ndarray:
     Pw = P * qw[:, None]
     for k in range(n):
         T[:, :, k] = (Pw * P[:, [k]]).T @ P
-    T = (
-        T
-        + T.transpose(0, 2, 1)
-        + T.transpose(1, 0, 2)
-        + T.transpose(1, 2, 0)
-        + T.transpose(2, 0, 1)
-        + T.transpose(2, 1, 0)
-    ) / 6.0
-    return T
+    return unpack_symmetric(pack_symmetric(T), n)
 
 
 def assemble_D(basis: ReducedBasis) -> np.ndarray:
@@ -92,10 +140,13 @@ def bracket3(M: np.ndarray, T: np.ndarray) -> np.ndarray:
     is skew-symmetric.  T must be fully symmetric, as every interaction
     tensor is: then all three terms are index permutations of the first,
     t1_ijk = sum_l M_li T_ljk, which is one (n x n) by (n x n^2) product.
+    Returns the bracket packed (``pack_symmetric`` order): only the unique
+    entries t1_ijk + t1_jik + t1_kij are summed.
     """
     n = M.shape[0]
-    t1 = (M.T @ T.reshape(n, n * n)).reshape(n, n, n)
-    return t1 + t1.transpose(1, 0, 2) + t1.transpose(1, 2, 0)
+    idx = symmetric_index(n)
+    t1 = (M.T @ T.reshape(n, n * n)).ravel()
+    return t1[idx.unique] + t1[idx.swap] + t1[idx.rotate]
 
 
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:

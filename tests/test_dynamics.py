@@ -1,11 +1,14 @@
 """Reduced time integration: generator assembly, midpoint stepping."""
 
+import re
+
 import numpy as np
 import pytest
 
 from laxrom import (
     AdvectionModel,
     FixedPointError,
+    KdvEigenModel,
     SolverConfig,
     assemble,
     assemble_T,
@@ -98,9 +101,47 @@ def test_midpoint_reports_nonconvergence(small_advection):
     basis, beta, model = small_advection
     cfg = SolverConfig(chi=60.0, dt=5e-3, t_max=0.1, fp_max_iters=1, fp_tol=1e-14)
     state = initial_state(basis, beta, model)
-    with pytest.raises(FixedPointError):
+    with pytest.raises(FixedPointError, match=r"^at t=0: no convergence in 1 iterations"):
         for _ in range(cfg.n_steps()):
             state, _ = step_midpoint(state, model, cfg)
+    # run names the mode count and the index of the failed step
+    with pytest.raises(FixedPointError, match=r"^N_M=5 step 0 at t=0: no convergence"):
+        run(basis, beta, model, cfg)
+
+
+def test_run_reports_failed_step(small_advection):
+    # a closure that turns to NaN after its 20th call fails a few steps in
+    basis, beta, _ = small_advection
+
+    class NanAfter20(AdvectionModel):
+        calls = 0
+
+        def gamma(self, *args):
+            self.calls += 1
+            return super().gamma(*args) * (1.0 if self.calls <= 20 else np.nan)
+
+    cfg = SolverConfig(chi=60.0, dt=4e-3, t_max=0.04)
+    with pytest.raises(FixedPointError) as info:
+        run(basis, beta, NanAfter20(0.5), cfg)
+    found = re.fullmatch(r"N_M=5 step (\d+) at t=(\S+): midpoint iteration diverged",
+                         str(info.value))
+    assert found is not None, str(info.value)
+    k = int(found[1])
+    assert k > 0 and float(found[2]) == pytest.approx(k * cfg.dt)
+
+
+@pytest.mark.parametrize("model", [AdvectionModel(0.5), KdvEigenModel(60.0)])
+def test_state_holds_unique_tensor_entries(small_advection, model):
+    basis, beta, _ = small_advection
+    state = initial_state(basis, beta, model)
+    n, p = basis.n_modes, beta.size
+    aux = len(model.required_aux)
+    assert state.y.shape == (p + n + n * (n + 1) * (n + 2) // 6 + n * n * aux,)
+    T = state.T
+    assert T.shape == (n, n, n) and not T.flags.writeable
+    assert state.T is T
+    np.testing.assert_array_equal(T, assemble_T(basis))
+    np.testing.assert_array_equal(state.layout.split(state.y)[2], T)
 
 
 def test_run_records_trajectory(small_advection):

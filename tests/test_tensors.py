@@ -1,5 +1,7 @@
 """Reduced operators: interaction tensor, derivative matrices, brackets."""
 
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from laxrom import (
     bracket3,
     build_uniform_mesh_1d,
     commutator,
+    pack_symmetric,
     solve_schrodinger_eig,
+    unpack_symmetric,
 )
 
 
@@ -49,7 +53,33 @@ def test_interaction_tensor_matches_direct_quadrature(basis):
 def test_interaction_tensor_fully_symmetric(basis):
     T = assemble_T(basis)
     for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1)):
-        assert np.abs(T - T.transpose(perm)).max() < 1e-12
+        assert np.array_equal(T, T.transpose(perm))
+
+
+def _symmetric(n, seed):
+    """An exactly symmetric random (n, n, n) tensor."""
+    T = np.random.default_rng(seed).standard_normal((n, n, n))
+    T = sum(T.transpose(p) for p in
+            ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)))
+    return unpack_symmetric(pack_symmetric(T), n)
+
+
+def test_packed_tensor_holds_sorted_index_entries(basis):
+    T = assemble_T(basis)
+    n = basis.n_modes
+    packed = pack_symmetric(T)
+    assert packed.shape == (n * (n + 1) * (n + 2) // 6,)
+    oracle = [T[i, j, k] for i, j, k in combinations_with_replacement(range(n), 3)]
+    assert np.array_equal(packed, oracle)
+    np.testing.assert_array_equal(unpack_symmetric(packed, n), T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_pack_unpack_round_trip(n):
+    T = _symmetric(n, seed=n)
+    for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1)):
+        assert np.array_equal(T, T.transpose(perm))
+    np.testing.assert_array_equal(unpack_symmetric(pack_symmetric(T), n), T)
 
 
 def test_first_derivative_matrix_skew(basis):
@@ -100,26 +130,27 @@ def test_third_derivative_rejects_foreign_potential(basis):
 
 
 def test_bracket3_preserves_symmetry():
-    rng = np.random.default_rng(7)
-    T = rng.standard_normal((5, 5, 5))
-    T = sum(T.transpose(p) for p in
-            ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)))
-    M = rng.standard_normal((5, 5))
+    # the packed bracket holds the unique entries of the full form
+    # t1 + t1^(jik) + t1^(kij), summed in the same order, and that full form
+    # is symmetric, so unpacking it loses nothing
+    n = 5
+    T = _symmetric(n, seed=7)
+    M = np.random.default_rng(7).standard_normal((n, n))
+    t1 = (M.T @ T.reshape(n, n * n)).reshape(n, n, n)
+    full = t1 + t1.transpose(1, 0, 2) + t1.transpose(1, 2, 0)
     W = bracket3(M, T)
-    for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
-        assert np.abs(W - W.transpose(perm)).max() < 1e-12
+    assert np.array_equal(W, pack_symmetric(full))
+    assert np.abs(unpack_symmetric(W, n) - full).max() < 1e-12
 
 
 def test_bracket3_matches_index_definition():
-    rng = np.random.default_rng(13)
-    T = rng.standard_normal((6, 6, 6))
-    T = sum(T.transpose(p) for p in
-            ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)))
-    M = rng.standard_normal((6, 6))
+    T = _symmetric(6, seed=13)
+    M = np.random.default_rng(13).standard_normal((6, 6))
     ref = (np.einsum("li,ljk->ijk", M, T)
            + np.einsum("lj,ilk->ijk", M, T)
            + np.einsum("lk,ijl->ijk", M, T))
-    assert np.abs(bracket3(M, T) - ref).max() < 1e-12 * np.abs(ref).max()
+    W = unpack_symmetric(bracket3(M, T), 6)
+    assert np.abs(W - ref).max() < 1e-12 * np.abs(ref).max()
 
 
 def test_bracket3_orthogonal_for_skew_generator():
@@ -130,7 +161,7 @@ def test_bracket3_orthogonal_for_skew_generator():
     T = T + T.transpose(1, 0, 2) + T.transpose(2, 1, 0)
     A = rng.standard_normal((6, 6))
     M = A - A.T
-    W = bracket3(M, T)
+    W = unpack_symmetric(bracket3(M, T), 6)
     inner = float(np.sum(T * W))
     assert abs(inner) < 1e-10 * np.linalg.norm(T.ravel()) * np.linalg.norm(W.ravel())
 
