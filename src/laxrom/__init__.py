@@ -61,9 +61,11 @@ from .models import (  # noqa: F401
     soliton_coefficient_rhs,
 )
 from .reconstruct import (  # noqa: F401
+    InvariantError,
     orthonormalize_g,
     propagate_basis,
     reconstruct_nodal,
+    rotations,
 )
 from .reference import (  # noqa: F401
     advection_exact,

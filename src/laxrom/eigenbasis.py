@@ -87,8 +87,8 @@ def solve_schrodinger_eig(
     """Lowest ``n_modes`` eigenpairs of (K - chi W(u0)) phi = lambda G phi.
 
     Eigenvalues come back ascending and the eigenvectors G-orthonormal, with
-    a deterministic sign fix (largest-magnitude entry positive).  Every pair
-    is checked against the residual bound
+    a deterministic sign fix (the first entry with at least half the largest
+    magnitude positive).  Every pair is checked against the residual bound
     ||A phi - lambda G phi|| <= 1e-8 (|lambda| + 1) ||phi||.
     """
     u0_nodal = np.asarray(u0_nodal, dtype=float)
@@ -115,11 +115,13 @@ def solve_schrodinger_eig(
         lam, B = scipy.linalg.eigh(A.toarray(), G.toarray(),
                                    subset_by_index=(0, n_modes - 1))
 
-    # deterministic orientation: largest |entry| of each mode positive
-    pick = np.argmax(np.abs(B), axis=0)
-    signs = np.sign(B[pick, np.arange(n_modes)])
-    signs[signs == 0] = 1.0
-    B = B * signs
+    # deterministic orientation: the first entry of each mode with at least
+    # half its largest magnitude is positive.  The largest entry itself is
+    # tied between mirror images on a symmetric problem, and rounding would
+    # pick the sign.
+    half = 0.5 * np.maximum(B.max(axis=0), -B.min(axis=0))
+    pick = np.argmax((B >= half) | (B <= -half), axis=0)
+    B = B * np.sign(B[pick, np.arange(n_modes)])
 
     resid = A @ B - (G @ B) * lam
     rnorm = np.linalg.norm(resid, axis=0)

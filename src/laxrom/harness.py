@@ -27,7 +27,7 @@ from .mesh import (
     build_uniform_mesh_1d,
 )
 from .models import AdvectionModel, FkppModel, KdvEigenModel, KdvSolitonModel
-from .reconstruct import propagate_basis, reconstruct_nodal
+from .reconstruct import propagate_basis, reconstruct_nodal, rotations
 from .reference import fkpp_reference, kdv_n_soliton, kdv_one_soliton
 from .scsa import METHODS, chi_sweep, read_signal_csv, shift_nonnegative
 
@@ -371,22 +371,50 @@ def _snapshot_rows(fem, u_ref, u_rom) -> np.ndarray:
 # main drivers
 
 
-def _error_series(basis, traj, law, ref, snap_indices):
-    """eps_L2 / amplitude error at every level; snapshots where requested."""
-    fem = basis.fem
-    n = traj.n_steps
-    eps = np.empty(n + 1)
-    amp = np.empty(n + 1)
+# time levels reconstructed and scored at once: the (levels, N) arrays of a
+# chunk stay a few MiB on the largest mesh
+_CHUNK = 64
+
+
+def _g_norms(G, rows: np.ndarray) -> np.ndarray:
+    """L2 norm of every row of nodal values (eps_l2's norm, batched)."""
+    return np.sqrt(np.abs(np.einsum("ij,ij->i", rows, (G @ rows.T).T)))
+
+
+def _error_series(basis, traj, dt, law, ref, snap_indices):
+    """eps_L2 / amplitude error at every level; snapshots where requested.
+
+    The modes at level k are B_0 Q_k.  One pass over the rotations Q_k
+    takes each level into the frame of B_0: the coefficients a_k = Q_k c_k
+    for the standard law, the p columns Q_k[:, :p] of the squared modes for
+    the soliton law.  The levels are then reconstructed and scored a chunk
+    at a time.  The end basis B_0 Q_n goes through propagate_basis, which
+    checks it G-orthonormal.
+    """
+    levels, p = traj.coeffs.shape
+    standard = law == "standard"
+    framed = np.empty((levels, basis.n_modes) if standard else (levels, basis.n_modes, p))
+    for k, Q in enumerate(rotations(traj.m_half, dt)):
+        framed[k] = Q[:, :p] @ traj.coeffs[k] if standard else Q[:, :p]
+    propagate_basis(basis, Q)
+
+    G = basis.fem.mass
+    eps = np.empty(levels)
+    amp = np.empty(levels)
     snaps = {}
-    cur = basis
-    for i in range(n + 1):
-        u = reconstruct_nodal(cur, traj.coeffs[i], law)
-        eps[i] = eps_l2(fem, ref[i], u)
-        amp[i] = eps_amplitude(ref[i], u)
-        if i in snap_indices:
-            snaps[i] = u
-        if i < n:
-            cur = propagate_basis(cur, traj.m_half[i], traj.times[i + 1] - traj.times[i])
+    for start in range(0, levels, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        if standard:
+            u = reconstruct_nodal(basis, framed[rows])
+        else:
+            u = reconstruct_nodal(basis, traj.coeffs[rows], law, framed[rows])
+        r = ref[rows]
+        denom = _g_norms(G, r)
+        if np.any(denom == 0.0):
+            raise ValueError("reference solution has zero norm")
+        eps[rows] = _g_norms(G, r - u) / denom
+        amp[rows] = np.abs(r.max(axis=1) - u.max(axis=1))
+        snaps.update((i, u[i - start].copy()) for i in snap_indices if start <= i < start + len(u))
     return eps, amp, snaps
 
 
@@ -394,7 +422,8 @@ def _run_one_nm(cfg, basis_full, model, u0, ref, nm, out_dir):
     basis, traj = _trajectory(cfg, basis_full, model, u0, nm)
     n = traj.n_steps
     snap_indices = sorted({0, n // 4, n // 2, n})
-    eps, amp, snaps = _error_series(basis, traj, model.coefficient_law, ref, snap_indices)
+    eps, amp, snaps = _error_series(basis, traj, cfg.dt, model.coefficient_law, ref,
+                                    snap_indices)
 
     if out_dir is not None:
         _save_csv(out_dir, f"errors_nm{nm:03d}.csv", "t,eps_l2,eps_amp",

@@ -1,11 +1,13 @@
 """Full-order reconstruction from a reduced trajectory.
 
-The nodal modes follow dB/dt = B M; each step applies the Crank-Nicolson
-(Cayley) update  B+ = B C  with the n x n factor
-C = (I - dt/2 M)^-1 (I + dt/2 M), which preserves G-orthonormality exactly
-for skew M.  A block Gram-Schmidt in the G-inner product (through the
-Cholesky factor of the Gram matrix) follows, to stop roundoff drift from
-accumulating.
+The nodal modes follow dB/dt = B M with an n x n skew generator M, so the
+modes at time level k are B_k = B_0 Q_k with Q_k an n x n rotation, and no
+nodal array has to be stepped.  ``rotations`` advances Q with the
+Crank-Nicolson (Cayley) update  Q+ = Q C,  C = (I - dt/2 M)^-1 (I + dt/2 M),
+which preserves orthogonality exactly for skew M, followed by a block
+Gram-Schmidt (through the Cholesky factor of the Gram matrix) that stops
+roundoff drift from accumulating.  ``propagate_basis`` maps a rotation to
+the nodal modes B_0 Q and checks that they are G-orthonormal.
 """
 
 from __future__ import annotations
@@ -15,22 +17,30 @@ from scipy.linalg import cholesky, solve_triangular
 
 from .eigenbasis import ReducedBasis
 
-__all__ = ["propagate_basis", "reconstruct_nodal", "orthonormalize_g"]
+__all__ = ["InvariantError", "rotations", "propagate_basis", "reconstruct_nodal",
+           "orthonormalize_g"]
+
+# largest |B^T G B - I| a transported basis may show
+ORTHONORMALITY_TOL = 1e-10
 
 
-def orthonormalize_g(B: np.ndarray, G) -> np.ndarray:
+class InvariantError(RuntimeError):
+    """A quantity the theory conserves has drifted past its bound."""
+
+
+def orthonormalize_g(B: np.ndarray, G=None) -> np.ndarray:
     """Gram-Schmidt in the G-inner product, as one block operation.
 
     With the Cholesky factor of the Gram matrix, B^T G B = R^T R, returns
-    Q = B R^-1.  R is upper triangular with a positive diagonal, the factor
-    Gram-Schmidt produces, so the column order, the nested spans and each
-    column's direction against the earlier ones are kept.  Assumes the
-    columns are close to G-orthonormal (as after a Cayley step), so the
-    Gram matrix is well conditioned; a rank-deficient set raises
-    LinAlgError.
+    Q = B R^-1; G = None is the identity.  R is upper triangular with a
+    positive diagonal, the factor Gram-Schmidt produces, so the column
+    order, the nested spans and each column's direction against the earlier
+    ones are kept.  Assumes the columns are close to G-orthonormal (as after
+    a Cayley step), so the Gram matrix is well conditioned; a rank-deficient
+    set raises LinAlgError.
     """
     B = np.asarray(B, dtype=float)
-    S = B.T @ (G @ B)
+    S = B.T @ B if G is None else B.T @ (G @ B)
     R = cholesky(S)
     # a pivot is a squared norm: roundoff leaves ~1e-8 of a column's norm
     lost = np.flatnonzero(np.diag(R) <= 1e-6 * np.sqrt(np.diag(S)))
@@ -39,16 +49,42 @@ def orthonormalize_g(B: np.ndarray, G) -> np.ndarray:
     return solve_triangular(R, B.T, trans="T").T
 
 
-def propagate_basis(basis: ReducedBasis, m_half: np.ndarray, dt: float) -> ReducedBasis:
-    """Advance the modes one step with the half-step generator ``m_half``."""
-    n = basis.n_modes
-    if m_half.shape != (n, n):
-        raise ValueError(f"generator shape {m_half.shape} does not match {n} modes")
+def rotations(m_half: np.ndarray, dt: float):
+    """Yield the rotations Q_0 = I, Q_1, ..., Q_{n_steps} of the modes.
+
+    ``m_half`` holds one half-step generator per step, shape
+    (n_steps, n, n), and Q_{k+1} = orth(Q_k C_k) with C_k the Cayley factor
+    of step k.  The modes at level k are then B_0 Q_k (``propagate_basis``).
+    """
+    m_half = np.asarray(m_half, dtype=float)
+    if m_half.ndim != 3 or m_half.shape[1] != m_half.shape[2]:
+        raise ValueError(f"generators of shape {m_half.shape} are not a stack of square matrices")
     h = 0.5 * dt
-    cayley = np.linalg.solve(np.eye(n) - h * m_half, np.eye(n) + h * m_half)
-    Bnew = orthonormalize_g(basis.B @ cayley, basis.fem.mass)
+    eye = np.eye(m_half.shape[1])
+    Q = eye.copy()
+    yield Q
+    for M in m_half:
+        cayley = np.linalg.solve(eye - h * M, eye + h * M)
+        Q = orthonormalize_g(Q @ cayley)
+        yield Q
+
+
+def propagate_basis(basis: ReducedBasis, Q: np.ndarray) -> ReducedBasis:
+    """The modes B Q after the rotation ``Q`` (one of ``rotations``).
+
+    Raises InvariantError when they are not G-orthonormal to
+    ORTHONORMALITY_TOL.
+    """
+    n = basis.n_modes
+    if Q.shape != (n, n):
+        raise ValueError(f"rotation shape {Q.shape} does not match {n} modes")
+    B = basis.B @ Q
+    dev = float(np.abs(B.T @ (basis.fem.mass @ B) - np.eye(n)).max())
+    if not dev <= ORTHONORMALITY_TOL:
+        raise InvariantError(f"N_M={n}: transported basis has |B^T G B - I| = {dev:.3e}, "
+                             f"above {ORTHONORMALITY_TOL:g}")
     return ReducedBasis(
-        B=Bnew,
+        B=B,
         lam=basis.lam,
         chi=basis.chi,
         potential=basis.potential,
@@ -56,19 +92,28 @@ def propagate_basis(basis: ReducedBasis, m_half: np.ndarray, dt: float) -> Reduc
     )
 
 
-def reconstruct_nodal(basis: ReducedBasis, coeffs: np.ndarray, law: str = "standard") -> np.ndarray:
+def reconstruct_nodal(basis: ReducedBasis, coeffs: np.ndarray, law: str = "standard",
+                      frame: np.ndarray | None = None) -> np.ndarray:
     """Nodal solution from reduced coefficients.
 
     law="standard": u = sum_i coeffs_i phi_i.
     law="soliton":  u = sum_i coeffs_i phi_i^2 over the leading len(coeffs)
     modes (squared bound states).
+
+    ``coeffs`` is one time level, shape (p,), or a stack of levels, shape
+    (levels, p), and the result has one row per level.  The modes phi_i are
+    the leading p columns of ``basis.B``, or with a ``frame`` (n, p), or
+    (levels, n, p) for a stack, the columns of basis.B @ frame.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    p = coeffs.size
+    p = coeffs.shape[-1]
     if p > basis.n_modes:
         raise ValueError(f"{p} coefficients for {basis.n_modes} modes")
-    if law == "standard":
-        return basis.B[:, :p] @ coeffs
+    if law not in ("standard", "soliton"):
+        raise ValueError(f"unknown reconstruction law {law!r}")
+    modes = basis.B[:, :p] if frame is None else basis.B @ frame
     if law == "soliton":
-        return (basis.B[:, :p] ** 2) @ coeffs
-    raise ValueError(f"unknown reconstruction law {law!r}")
+        modes = modes ** 2
+    if modes.ndim == 2:
+        return coeffs @ modes.T
+    return np.einsum("lij,lj->li", modes, coeffs)

@@ -2,6 +2,7 @@
 
 import configparser
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from laxrom import (
     eps_l2,
     harness,
     load_config,
+    propagate_basis,
+    reconstruct_nodal,
+    rotations,
     run_chi_sweep,
     run_experiment,
     run_scsa,
@@ -267,6 +271,61 @@ def test_failures_are_recorded_per_mode_count(tmp_path):
     assert report.rows == []
     failures = open(os.path.join(cfg.out_dir, "failures.txt")).read()
     assert "N_M=4" in failures and "N_M=6" in failures
+
+
+def test_failures_record_a_basis_off_g_orthonormal(tmp_path, monkeypatch):
+    # modes scaled by 1 + 1e-9 run normally but end 2e-9 off G-orthonormal
+    solve = harness.solve_schrodinger_eig
+
+    def scaled(*args):
+        basis = solve(*args)
+        return replace(basis, B=basis.B * (1.0 + 1e-9))
+
+    monkeypatch.setattr(harness, "solve_schrodinger_eig", scaled)
+    cfg = ExperimentConfig(problem="advection")
+    cfg.n_nodes = 61
+    cfg.chi, cfg.c = 60.0, 0.5
+    cfg.dt, cfg.t_max = 1.0 / 16, 0.25
+    cfg.nm_list = (4, 5)
+    cfg.out_dir = str(tmp_path)
+    report = run_experiment(cfg)
+    assert report.rows == []
+    for nm in (4, 5):
+        assert report.errors[nm].startswith(f"InvariantError: N_M={nm}: ")
+    failures = open(os.path.join(cfg.out_dir, "failures.txt")).read()
+    assert "N_M=4: InvariantError" in failures and "N_M=5: InvariantError" in failures
+
+
+@pytest.mark.parametrize("problem", ["advection", "kdv_soliton"])
+def test_error_series_matches_per_level_definition(problem):
+    cfg = ExperimentConfig(problem=problem)
+    if problem == "advection":
+        cfg.n_nodes, cfg.chi, cfg.c = 121, 60.0, 0.5
+        cfg.dt, cfg.t_max = 1.0 / 256, 0.5
+        nm = 8
+    else:
+        cfg.a, cfg.b, cfg.n_nodes = -5.0, 15.0, 201
+        cfg.beta_speed, cfg.x0 = 4.0, 0.0
+        cfg.dt, cfg.t_max = 2e-3, 0.3
+        nm = 10
+    n_steps = cfg.solver().n_steps()
+    assert n_steps + 1 > 2 * harness._CHUNK  # levels in three chunks
+    fem, u0, basis_full, model = harness._setup(cfg, nm)
+    ref = harness._reference_series(cfg, fem, u0, n_steps)
+    basis, traj = harness._trajectory(cfg, basis_full, model, u0, nm)
+    law = model.coefficient_law
+    snap_indices = [0, harness._CHUNK + 1, n_steps]
+    eps, amp, snaps = harness._error_series(basis, traj, cfg.dt, law, ref, snap_indices)
+    assert sorted(snaps) == snap_indices
+
+    # the definition, one level at a time
+    for k, Q in enumerate(rotations(traj.m_half, cfg.dt)):
+        u = reconstruct_nodal(propagate_basis(basis, Q), traj.coeffs[k], law)
+        assert eps[k] == pytest.approx(eps_l2(fem, ref[k], u), rel=1e-12)
+        assert amp[k] == pytest.approx(eps_amplitude(ref[k], u), rel=1e-12)
+        if k in snaps:
+            np.testing.assert_allclose(snaps[k], u, rtol=0, atol=1e-12 * np.abs(u).max())
+    assert k == n_steps
 
 
 def test_csv_values_carry_full_precision(advection_run):
