@@ -207,17 +207,20 @@ def check_frobenius(cfg: ExperimentConfig) -> None:
         raise ValueError(f"nm_ref = {cfg.nm_ref} modes requested from a mesh of {dofs} dofs")
 
 
-def eps_l2(fem, u_ref: np.ndarray, u_num: np.ndarray) -> float:
-    """Relative L2 error ||u_ref - u_num|| / ||u_ref||."""
+def eps_l2(fem, u_ref: np.ndarray, u_num: np.ndarray):
+    """Relative L2 error ||u_ref - u_num|| / ||u_ref||.
+
+    For stacks of time levels, shape (levels, N), one error per row.
+    """
     denom = fem.norm(u_ref)
-    if denom == 0.0:
+    if np.any(denom == 0.0):
         raise ValueError("reference solution has zero norm")
     return fem.norm(u_ref - u_num) / denom
 
 
-def eps_amplitude(u_ref: np.ndarray, u_num: np.ndarray) -> float:
-    """Amplitude error |max u_ref - max u_num|."""
-    return abs(float(np.max(u_ref)) - float(np.max(u_num)))
+def eps_amplitude(u_ref: np.ndarray, u_num: np.ndarray):
+    """Amplitude error |max u_ref - max u_num|, one per row for stacks."""
+    return np.abs(np.max(u_ref, axis=-1) - np.max(u_num, axis=-1))
 
 
 @dataclass
@@ -376,11 +379,6 @@ def _snapshot_rows(fem, u_ref, u_rom) -> np.ndarray:
 _CHUNK = 64
 
 
-def _g_norms(G, rows: np.ndarray) -> np.ndarray:
-    """L2 norm of every row of nodal values (eps_l2's norm, batched)."""
-    return np.sqrt(np.abs(np.einsum("ij,ij->i", rows, (G @ rows.T).T)))
-
-
 def _error_series(basis, traj, dt, law, ref, snap_indices):
     """eps_L2 / amplitude error at every level; snapshots where requested.
 
@@ -398,7 +396,6 @@ def _error_series(basis, traj, dt, law, ref, snap_indices):
         framed[k] = Q[:, :p] @ traj.coeffs[k] if standard else Q[:, :p]
     propagate_basis(basis, Q)
 
-    G = basis.fem.mass
     eps = np.empty(levels)
     amp = np.empty(levels)
     snaps = {}
@@ -408,12 +405,8 @@ def _error_series(basis, traj, dt, law, ref, snap_indices):
             u = reconstruct_nodal(basis, framed[rows])
         else:
             u = reconstruct_nodal(basis, traj.coeffs[rows], law, framed[rows])
-        r = ref[rows]
-        denom = _g_norms(G, r)
-        if np.any(denom == 0.0):
-            raise ValueError("reference solution has zero norm")
-        eps[rows] = _g_norms(G, r - u) / denom
-        amp[rows] = np.abs(r.max(axis=1) - u.max(axis=1))
+        eps[rows] = eps_l2(basis.fem, ref[rows], u)
+        amp[rows] = eps_amplitude(ref[rows], u)
         snaps.update((i, u[i - start].copy()) for i in snap_indices if start <= i < start + len(u))
     return eps, amp, snaps
 

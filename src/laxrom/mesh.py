@@ -226,9 +226,14 @@ class FemOperators:
         full[self.active] = u_active
         return full
 
-    def norm(self, u: np.ndarray) -> float:
-        """L2(Omega) norm of the P1 function with active-node values ``u``."""
-        return float(np.sqrt(abs(u @ (self.mass @ u))))
+    def norm(self, u: np.ndarray):
+        """L2(Omega) norm of the P1 function with active-node values ``u``.
+
+        A stack of functions, shape (levels, N), gives one norm per row.
+        """
+        if u.ndim == 1:
+            return float(np.sqrt(abs(u @ (self.mass @ u))))
+        return np.sqrt(np.abs(np.einsum("ij,ij->i", u, (self.mass @ u.T).T)))
 
 
 def assemble(mesh: Mesh1D | TriMesh, bc: str = DIRICHLET) -> FemOperators:

@@ -28,19 +28,18 @@ class InvariantError(RuntimeError):
     """A quantity the theory conserves has drifted past its bound."""
 
 
-def orthonormalize_g(B: np.ndarray, G=None) -> np.ndarray:
-    """Gram-Schmidt in the G-inner product, as one block operation.
+def orthonormalize_g(B: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt of the columns of B, as one block operation.
 
-    With the Cholesky factor of the Gram matrix, B^T G B = R^T R, returns
-    Q = B R^-1; G = None is the identity.  R is upper triangular with a
-    positive diagonal, the factor Gram-Schmidt produces, so the column
-    order, the nested spans and each column's direction against the earlier
-    ones are kept.  Assumes the columns are close to G-orthonormal (as after
-    a Cayley step), so the Gram matrix is well conditioned; a rank-deficient
-    set raises LinAlgError.
+    With the Cholesky factor of the Gram matrix, B^T B = R^T R, returns
+    Q = B R^-1.  R is upper triangular with a positive diagonal, the factor
+    Gram-Schmidt produces, so the column order, the nested spans and each
+    column's direction against the earlier ones are kept.  Assumes the
+    columns are close to orthonormal (as after a Cayley step), so the Gram
+    matrix is well conditioned; a rank-deficient set raises LinAlgError.
     """
     B = np.asarray(B, dtype=float)
-    S = B.T @ B if G is None else B.T @ (G @ B)
+    S = B.T @ B
     R = cholesky(S)
     # a pivot is a squared norm: roundoff leaves ~1e-8 of a column's norm
     lost = np.flatnonzero(np.diag(R) <= 1e-6 * np.sqrt(np.diag(S)))

@@ -32,40 +32,42 @@ def random_skew(n, seed):
     return A - A.T
 
 
-def test_gram_schmidt_restores_g_orthonormality(basis):
+def orthonormal_columns(n_rows, n_cols, seed):
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.standard_normal((n_rows, n_cols)))[0]
+
+
+def test_gram_schmidt_restores_g_orthonormality():
     rng = np.random.default_rng(7)
-    G = basis.fem.mass
     # perturb an orthonormal set and clean it up again
-    B = basis.B + 1e-4 * rng.standard_normal(basis.B.shape)
-    Q = orthonormalize_g(B, G)
-    gram = Q.T @ (G @ Q)
-    assert np.abs(gram - np.eye(Q.shape[1])).max() < 1e-12
+    B = orthonormal_columns(141, 6, seed=1) + 1e-4 * rng.standard_normal((141, 6))
+    Q = orthonormalize_g(B)
+    assert np.abs(Q.T @ Q - np.eye(6)).max() < 1e-12
 
 
-def test_gram_schmidt_keeps_leading_column_direction(basis):
-    G = basis.fem.mass
-    Q = orthonormalize_g(basis.B * 2.0, G)
+def test_gram_schmidt_keeps_leading_column_direction():
+    Q0 = orthonormal_columns(141, 6, seed=2)
+    Q = orthonormalize_g(Q0 * 2.0)
     # scaling columns must not flip or rotate the first one
-    first = Q[:, 0]
-    ref = basis.B[:, 0]
-    assert np.abs(first - ref).max() < 1e-12
-    # every column: B = Q R with R = Q^T G B upper triangular, positive diagonal
+    assert np.abs(Q[:, 0] - Q0[:, 0]).max() < 1e-12
+    # every column: B = Q R with R = Q^T B upper triangular, positive diagonal
     rng = np.random.default_rng(5)
-    B = basis.B + 0.1 * rng.standard_normal(basis.B.shape)
-    R = orthonormalize_g(B, G).T @ (G @ B)
+    B = Q0 + 0.1 * rng.standard_normal(Q0.shape)
+    R = orthonormalize_g(B).T @ B
     assert np.abs(np.tril(R, -1)).max() < 1e-12
     assert np.all(np.diag(R) > 0.0)
 
 
-def test_gram_schmidt_rejects_rank_deficient_columns(basis):
-    B = basis.B.copy()
+def test_gram_schmidt_rejects_rank_deficient_columns():
+    Q0 = orthonormal_columns(141, 6, seed=3)
+    B = Q0.copy()
     B[:, 3] = B[:, 1]
     with pytest.raises(np.linalg.LinAlgError):
-        orthonormalize_g(B, basis.fem.mass)
+        orthonormalize_g(B)
     # nearly dependent: the Cholesky pivot stays positive but is tiny
-    B[:, 3] = B[:, 1] + 1e-7 * basis.B[:, 3]
+    B[:, 3] = B[:, 1] + 1e-7 * Q0[:, 3]
     with pytest.raises(np.linalg.LinAlgError, match="column 3"):
-        orthonormalize_g(B, basis.fem.mass)
+        orthonormalize_g(B)
 
 
 def test_identity_generator_leaves_basis_fixed(basis):
