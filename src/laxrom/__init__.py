@@ -34,7 +34,9 @@ from .tensors import (  # noqa: F401
     assemble_T,
     bracket3,
     commutator,
+    contract,
     pack_symmetric,
+    symmetric_index,
     unpack_symmetric,
 )
 from .dynamics import (  # noqa: F401

@@ -51,9 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _keep_freed_heap() -> None:
     """Stop glibc from returning freed heap to the kernel after every step.
 
-    Each reduced step allocates and frees several arrays of n^3 doubles
-    (0.37 MB at 36 modes): the unpacked interaction tensor and the bracket's
-    GEMM product, beside the state-sized ones (89 KB at 36 modes).  With
+    Each reduced step allocates and frees several arrays of n^2(n+1)/2
+    doubles (0.19 MB at 36 modes): the pair matrix of the interaction tensor
+    and the bracket's GEMM product, beside the state-sized ones (89 KB at 36
+    modes).  With
     glibc's start-up thresholds (128 KiB) that memory goes back to the
     kernel and comes back as fresh zeroed pages, one page fault per 4 KiB.
     The values set here are the ones glibc's own adaptive rule reaches once

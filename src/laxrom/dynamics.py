@@ -5,15 +5,19 @@ tensor T, auxiliary matrices), advanced as a whole by the implicit midpoint
 rule, with the basis-rotation generator M rebuilt from the half-step state
 at every nonlinear iteration:
 
-    M_ij = chi / (lambda_i - lambda_j) * sum_m T_ijm gamma_m   (i != j)
+    Theta_ij = sum_m T_ijm gamma_m
+    M_ij = chi Theta_ij / (lambda_i - lambda_j)   (i != j)
     coeffs' = gamma - M coeffs          (or the soliton law)
-    lambda_i' = -chi sum_m T_iim gamma_m
+    lambda_i' = -chi Theta_ii
     T' = {M, T}       (rank-3 bracket)
     X' = [X, M]       for each auxiliary matrix X
 
 T is held in y by its n(n+1)(n+2)/6 unique entries (i <= j <= k), and the
-bracket computes only those.  Each right-hand side evaluation unpacks T
-once and shares the full tensor with M, the eigenvalue law and the model.
+bracket computes only those.  Each right-hand side evaluation gathers the
+pair matrix Tp of T (``tensors.SymmetricIndex``, half of the n^3 entries)
+once and shares it with the model and the bracket; Theta is contracted
+from it once and gives both M and the eigenvalue law.  The right-hand side
+never builds the full (n, n, n) tensor.
 
 Each stage of the iteration (midpoint, proposal, change, scale) is one
 elementwise operation on the whole of y, and the other named fields are
@@ -36,7 +40,9 @@ from .tensors import (
     assemble_T,
     bracket3,
     commutator,
+    contract,
     pack_symmetric,
+    symmetric_index,
     unpack_symmetric,
 )
 
@@ -82,8 +88,8 @@ class StateLayout:
     """Offsets of the fields in the flat state vector.
 
     y = [coeffs, lambda, the unique entries of T (``pack_symmetric``
-    order), the aux matrices in ``aux_names`` order]; the offsets are
-    computed once, not on every evaluation.
+    order), the aux matrices in ``aux_names`` order]; the offsets and the
+    pair-matrix gather are computed once, not on every evaluation.
     """
 
     def __init__(self, n_coeffs: int, n_modes: int, aux_names: tuple):
@@ -92,6 +98,7 @@ class StateLayout:
         sizes = [n_coeffs, n, n * (n + 1) * (n + 2) // 6] + [n * n] * len(self.aux_names)
         ends = np.cumsum(sizes).tolist()
         self._slices = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+        self._pairs = symmetric_index(n).pairs
 
     def views(self, y: np.ndarray):
         """Views (coeffs, lam, packed T, aux dict) into y."""
@@ -101,9 +108,10 @@ class StateLayout:
         return coeffs, lam, t, aux
 
     def split(self, y: np.ndarray):
-        """(coeffs, lam, T, aux dict) of y, with T unpacked to (n, n, n)."""
+        """(coeffs, lam, Tp, aux dict) of y, with Tp the (n, n(n+1)/2) pair
+        matrix of T (``tensors.SymmetricIndex``)."""
         coeffs, lam, t, aux = self.views(y)
-        return coeffs, lam, unpack_symmetric(t, self.n_modes), aux
+        return coeffs, lam, t[self._pairs], aux
 
 
 def _pack(*fields) -> np.ndarray:
@@ -132,23 +140,23 @@ class ReducedState:
 
     @cached_property
     def T(self) -> np.ndarray:
-        T = self.layout.split(self.y)[2]
+        T = unpack_symmetric(self.layout.views(self.y)[2], self.layout.n_modes)
         T.flags.writeable = False
         return T
 
 
-def build_M(lam, T, gamma, chi: float, tol_deg: float = 1e-8) -> np.ndarray:
+def build_M(lam, theta, chi: float, tol_deg: float = 1e-8) -> np.ndarray:
     """Basis-rotation generator from the non-isospectral compatibility relation.
 
-    M_ij = chi Theta_ij / (lambda_i - lambda_j) with Theta = sum_m T_:,:,m
-    gamma_m, zero diagonal, entries with |lambda_i - lambda_j| below
-    tol_deg * (1 + |lambda_i|) zeroed.  Skew-symmetry is exact: the upper
-    triangle U is computed and M = U - U^T.
+    M_ij = chi Theta_ij / (lambda_i - lambda_j) with Theta_ij = sum_m T_ijm
+    gamma_m (``tensors.contract``), zero diagonal, entries with
+    |lambda_i - lambda_j| below tol_deg * (1 + |lambda_i|) zeroed.
+    Skew-symmetry is exact: the upper triangle U is computed and M = U - U^T.
     """
     lam = np.asarray(lam, dtype=float)
     denom = lam[:, None] - lam[None, :]
     ok = np.abs(denom) > tol_deg * (1.0 + np.abs(lam))[:, None]
-    U = np.triu(np.divide(chi * (T @ gamma), denom, out=np.zeros_like(denom), where=ok), 1)
+    U = np.triu(np.divide(chi * theta, denom, out=np.zeros_like(denom), where=ok), 1)
     return U - U.T
 
 
@@ -163,25 +171,24 @@ def mode_indicator(M: np.ndarray) -> np.ndarray:
 
 
 def _generator(fields, model: EquationModel, cfg: SolverConfig):
-    """(gamma, M) at the state whose views are ``fields``."""
-    coeffs, lam, T, aux = fields
-    gamma = model.gamma(coeffs, lam, T, aux)
+    """(gamma, Theta, M) at the state whose fields are ``fields``."""
+    coeffs, lam, Tp, aux = fields
+    gamma = model.gamma(coeffs, lam, Tp, aux)
+    theta = contract(Tp, gamma)
     M = model.override_m(aux)
     if M is None:
-        M = build_M(lam, T, gamma, cfg.chi, cfg.tol_deg)
-    return gamma, M
+        M = build_M(lam, theta, cfg.chi, cfg.tol_deg)
+    return gamma, theta, M
 
 
 def _rhs(y: np.ndarray, layout: StateLayout, model: EquationModel, cfg: SolverConfig):
     """Flat right-hand side of the reduced system at y."""
-    coeffs, lam, T, aux = fields = layout.split(y)
-    gamma, M = _generator(fields, model, cfg)
-    n = lam.size
-    tii = T[np.arange(n), np.arange(n), :]  # (n, n) rows T_iim
+    coeffs, lam, Tp, aux = fields = layout.split(y)
+    gamma, theta, M = _generator(fields, model, cfg)
     return _pack(
-        model.coeff_rhs(coeffs, lam, T, M, aux, gamma),
-        -cfg.chi * (tii @ gamma),
-        bracket3(M, T),
+        model.coeff_rhs(coeffs, lam, Tp, M, aux, gamma),
+        -cfg.chi * theta.diagonal(),
+        bracket3(M, Tp),
         *(commutator(X, M) for X in aux.values()),
     )
 
@@ -218,7 +225,7 @@ def step_midpoint(state: ReducedState, model: EquationModel, cfg: SolverConfig):
             f"at t={state.t:.6g}: no convergence in {cfg.fp_max_iters} "
             f"iterations (last delta {last_delta:.3e})"
         )
-    _, m_half = _generator(layout.split(0.5 * (y + new)), model, cfg)
+    *_, m_half = _generator(layout.split(0.5 * (y + new)), model, cfg)
     return ReducedState(new, state.t + dt, layout), m_half
 
 

@@ -4,11 +4,16 @@ Each model supplies gamma, the expansion of N(u) - its linear transport or
 reaction right-hand side - on the current modes, plus (for the soliton
 variant) its own coefficient evolution law.  The generic coefficient law
 beta' = gamma - M beta lives in the base class.
+
+The interaction tensor reaches the models as its pair matrix Tp,
+Tp[l, pair(j, k)] = T_ljk (``tensors.SymmetricIndex``).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .tensors import contract, symmetric_index
 
 __all__ = [
     "EquationModel",
@@ -36,16 +41,16 @@ def gamma_kdv_eigen(beta, lam, D, D3, chi: float) -> np.ndarray:
     return (3.0 / chi) * (D @ (lam * beta)) - (1.0 - 3.0 / chi) * (D3 @ beta)
 
 
-def gamma_fkpp(beta, lam, T, chi: float, nu: float) -> np.ndarray:
+def gamma_fkpp(beta, lam, Tp, chi: float, nu: float) -> np.ndarray:
     """Closure for u_t - laplacian u = nu u(1 - u).
 
     gamma_i = (nu - lambda_i) beta_i - (chi + nu) sum_jk T_ijk beta_j beta_k
     """
-    quad = (T @ beta) @ beta
+    quad = contract(Tp, beta) @ beta
     return (nu - lam) * beta - (chi + nu) * quad
 
 
-def soliton_coefficient_rhs(alpha, T, M, gamma) -> np.ndarray:
+def soliton_coefficient_rhs(alpha, Tp, M, gamma) -> np.ndarray:
     """Evolution of the squared-mode amplitudes alpha (first len(alpha) modes).
 
     Differentiating u = sum_j alpha_j phi_j^2 in time and matching it against
@@ -59,9 +64,9 @@ def soliton_coefficient_rhs(alpha, T, M, gamma) -> np.ndarray:
     them constant (up to truncation) through collisions as well.
     """
     p = alpha.size
-    idx = np.arange(p)
-    S = T[:, idx, idx]
-    C = np.einsum("ijm,mj->ij", T[:, :p, :], M[:, :p])
+    pair = symmetric_index(Tp.shape[0]).pair
+    S = Tp[:, pair.diagonal()[:p]]  # T_ijj
+    C = np.einsum("ijm,mj->ij", Tp[:, pair[:p]], M[:, :p])
     rhs = gamma - 2.0 * (C @ alpha)
     sol, *_ = np.linalg.lstsq(S, rhs, rcond=None)
     return sol
@@ -74,10 +79,10 @@ class EquationModel:
     required_aux: tuple = ()
     coefficient_law = "standard"
 
-    def gamma(self, coeffs, lam, T, aux) -> np.ndarray:
+    def gamma(self, coeffs, lam, Tp, aux) -> np.ndarray:
         raise NotImplementedError
 
-    def coeff_rhs(self, coeffs, lam, T, M, aux, gamma) -> np.ndarray:
+    def coeff_rhs(self, coeffs, lam, Tp, M, aux, gamma) -> np.ndarray:
         """Default modal law beta' = gamma - M beta."""
         return gamma - M @ coeffs
 
@@ -101,7 +106,7 @@ class AdvectionModel(EquationModel):
         self.c = float(c)
         self.exact_m = bool(exact_m)
 
-    def gamma(self, coeffs, lam, T, aux):
+    def gamma(self, coeffs, lam, Tp, aux):
         return gamma_advection(coeffs, aux["D"], self.c)
 
     def override_m(self, aux):
@@ -119,7 +124,7 @@ class KdvEigenModel(EquationModel):
     def __init__(self, chi: float):
         self.chi = float(chi)
 
-    def gamma(self, coeffs, lam, T, aux):
+    def gamma(self, coeffs, lam, Tp, aux):
         return gamma_kdv_eigen(coeffs, lam, aux["D"], aux["D3"], self.chi)
 
 
@@ -133,8 +138,8 @@ class FkppModel(EquationModel):
         self.nu = float(nu)
         self.chi = float(chi)
 
-    def gamma(self, coeffs, lam, T, aux):
-        return gamma_fkpp(coeffs, lam, T, self.chi, self.nu)
+    def gamma(self, coeffs, lam, Tp, aux):
+        return gamma_fkpp(coeffs, lam, Tp, self.chi, self.nu)
 
 
 class KdvSolitonModel(EquationModel):
@@ -171,7 +176,7 @@ class KdvSolitonModel(EquationModel):
         self.n_soliton = int(n_soliton)
         self.amplitude_law = amplitude_law
 
-    def gamma(self, coeffs, lam, T, aux):
+    def gamma(self, coeffs, lam, Tp, aux):
         # For u = sum_j alpha_j phi_j^2 the flow term collapses, via the
         # eigenrelation phi_j'' = -(lambda_j + u) phi_j, to
         # 8 sum_j lambda_j alpha_j phi_j phi_j'.  Expanding phi_j^2 on the
@@ -179,15 +184,14 @@ class KdvSolitonModel(EquationModel):
         # gamma_i = 4 sum_j lambda_j alpha_j sum_m D_im T_mjj.
         p = self.n_soliton
         D = aux["D"]
-        idx = np.arange(p)
-        tdiag = T[:, idx, idx]
+        tdiag = Tp[:, symmetric_index(Tp.shape[0]).pair.diagonal()[:p]]  # T_mjj
         return 4.0 * (D @ (tdiag @ (lam[:p] * coeffs)))
 
-    def coeff_rhs(self, coeffs, lam, T, M, aux, gamma):
+    def coeff_rhs(self, coeffs, lam, Tp, M, aux, gamma):
         if self.amplitude_law == "frozen":
             return np.zeros_like(coeffs)
         if self.amplitude_law == "projected":
-            return soliton_coefficient_rhs(coeffs, T, M, gamma)
+            return soliton_coefficient_rhs(coeffs, Tp, M, gamma)
         p = self.n_soliton
         block = M[:p, :p] - 4.0 * lam[None, :p] * aux["D"][:p, :p]
         return -2.0 * (block @ coeffs)

@@ -8,7 +8,10 @@ roundoff.
 
 T is fully symmetric, and so is its evolution {M, T}; the packed form holds
 only its n(n+1)(n+2)/6 entries with i <= j <= k, in row-major order
-(``SymmetricIndex``).
+(``SymmetricIndex``).  The reduced right-hand side works on the pair matrix
+Tp of shape (n, n(n+1)/2), Tp[l, pair(j, k)] = T_ljk for j <= k: every
+column of T's (n, n^2) unfolding is there once, so contractions over one
+index and the bracket cost half of their full-tensor form.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "assemble_D3",
     "bracket3",
     "commutator",
+    "contract",
     "symmetric_index",
     "pack_symmetric",
     "unpack_symmetric",
@@ -33,18 +37,23 @@ __all__ = [
 
 
 class SymmetricIndex(NamedTuple):
-    """Flat index maps between a symmetric (n, n, n) tensor and its packing.
+    """Flat index maps between a symmetric (n, n, n) tensor, its packing and
+    its pair matrix.
 
     ``unique`` holds the row-major positions of the entries with
-    i <= j <= k, ``unpack`` the packed position of every full entry, and
-    ``swap`` and ``rotate`` the positions of (j, i, k) and (k, i, j) for each
-    unique (i, j, k).
+    i <= j <= k, ``unpack`` the packed position of every full entry and
+    ``pairs`` the packed position of every pair-matrix entry, as an (n, P)
+    array with P = n(n+1)/2.  ``pair`` is the symmetric (n, n) map from
+    (j, k) to the pair-matrix column.  ``bracket`` is (3, U): for each unique
+    (i, j, k), the positions of (i, pair(j, k)), (j, pair(i, k)) and
+    (k, pair(i, j)) in a flattened (n, P) array.
     """
 
     unique: np.ndarray
     unpack: np.ndarray
-    swap: np.ndarray
-    rotate: np.ndarray
+    pairs: np.ndarray
+    pair: np.ndarray
+    bracket: np.ndarray
 
 
 @lru_cache(maxsize=1)  # a trajectory keeps one mode count; a rebuild takes ms
@@ -55,12 +64,17 @@ def symmetric_index(n: int) -> SymmetricIndex:
     rank = np.zeros(n**3, dtype=np.intp)
     rank[unique] = np.arange(unique.size)
     lo, mid, hi = np.sort(np.stack([i, j, k]), axis=0)
+    unpack = rank[(lo * n + mid) * n + hi]
+    rows, cols = np.triu_indices(n)
+    pair = np.empty((n, n), dtype=np.intp)
+    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
     i, j, k = i[unique], j[unique], k[unique]
     maps = SymmetricIndex(
         unique=unique,
-        unpack=rank[(lo * n + mid) * n + hi],
-        swap=(j * n + i) * n + k,
-        rotate=(k * n + i) * n + j,
+        unpack=unpack,
+        pairs=unpack.reshape(n, n * n)[:, rows * n + cols],
+        pair=pair,
+        bracket=np.stack([i, j, k]) * rows.size + pair[[j, i, i], [k, k, j]],
     )
     for a in maps:
         a.flags.writeable = False
@@ -75,6 +89,11 @@ def pack_symmetric(T: np.ndarray) -> np.ndarray:
 def unpack_symmetric(packed: np.ndarray, n: int) -> np.ndarray:
     """The full (n, n, n) tensor from its unique entries: one gather."""
     return packed[symmetric_index(n).unpack].reshape(n, n, n)
+
+
+def contract(Tp: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (n, n) matrix sum_m T_ijm v_m from the pair matrix Tp of T."""
+    return (v @ Tp)[symmetric_index(Tp.shape[0]).pair]
 
 
 def assemble_T(basis: ReducedBasis) -> np.ndarray:
@@ -132,21 +151,20 @@ def assemble_D3(basis: ReducedBasis, u0_nodal: np.ndarray, chi: float) -> np.nda
     return D.T * basis.lam[None, :] + chi * E
 
 
-def bracket3(M: np.ndarray, T: np.ndarray) -> np.ndarray:
+def bracket3(M: np.ndarray, Tp: np.ndarray) -> np.ndarray:
     """Rank-3 bracket {M, T}_ijk = sum_l M_li T_ljk + M_lj T_ilk + M_lk T_ijl.
 
     This is the generator of the tensor evolution under a rotating basis;
     it preserves full symmetry of T and is Frobenius-orthogonal to T when M
     is skew-symmetric.  T must be fully symmetric, as every interaction
     tensor is: then all three terms are index permutations of the first,
-    t1_ijk = sum_l M_li T_ljk, which is one (n x n) by (n x n^2) product.
+    t1_ijk = sum_l M_li T_ljk, and t1 is symmetric in (j, k), so one
+    (n x n) by (n x P) product with the pair matrix Tp of T gives all of it.
     Returns the bracket packed (``pack_symmetric`` order): only the unique
     entries t1_ijk + t1_jik + t1_kij are summed.
     """
-    n = M.shape[0]
-    idx = symmetric_index(n)
-    t1 = (M.T @ T.reshape(n, n * n)).ravel()
-    return t1[idx.unique] + t1[idx.swap] + t1[idx.rotate]
+    t = (M.T @ Tp).ravel()[symmetric_index(M.shape[0]).bracket]
+    return t[0] + t[1] + t[2]
 
 
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:

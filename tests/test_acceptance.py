@@ -307,7 +307,7 @@ def test_criterion_09_property_suite(acceptance_log):
     T = assemble_T(basis)
     rng = np.random.default_rng(5)
     gamma = rng.standard_normal(6)
-    M = build_M(basis.lam, T, gamma, chi)
+    M = build_M(basis.lam, T @ gamma, chi)
     checks["M skew"] = bool(np.array_equal(M, -M.T))
 
     # interaction tensor symmetric under all index permutations

@@ -8,20 +8,26 @@ import pytest
 from laxrom import (
     AdvectionModel,
     FixedPointError,
+    FkppModel,
     KdvEigenModel,
+    KdvSolitonModel,
     SolverConfig,
     assemble,
     assemble_T,
     build_M,
     build_uniform_mesh_1d,
+    contract,
     frobenius_norm_sq,
     initial_projection,
     initial_state,
     mode_indicator,
+    pack_symmetric,
     run,
     solve_schrodinger_eig,
     step_midpoint,
+    unpack_symmetric,
 )
+from laxrom import dynamics
 
 
 def test_generator_hand_checked_entry():
@@ -31,7 +37,7 @@ def test_generator_hand_checked_entry():
     T = np.zeros((2, 2, 2))
     T[0, 0, 1] = T[0, 1, 0] = T[1, 0, 0] = 1.0
     gamma = np.array([0.5, 0.0])
-    M = build_M(lam, T, gamma, chi=1.0)
+    M = build_M(lam, T @ gamma, chi=1.0)
     assert M[0, 1] == pytest.approx(-0.5, rel=1e-14)
     assert M[1, 0] == pytest.approx(0.5, rel=1e-14)
     assert M[0, 0] == M[1, 1] == 0.0
@@ -44,7 +50,7 @@ def test_generator_exactly_skew():
     T = T + T.transpose(0, 2, 1)
     T = T + T.transpose(1, 0, 2) + T.transpose(2, 1, 0)
     gamma = rng.standard_normal(7)
-    M = build_M(lam, T, gamma, chi=2.5)
+    M = build_M(lam, T @ gamma, chi=2.5)
     assert np.array_equal(M, -M.T)
 
 
@@ -52,7 +58,7 @@ def test_generator_degenerate_pairs_masked():
     lam = np.array([1.0, 1.0 + 1e-12, 4.0])
     T = np.ones((3, 3, 3))
     gamma = np.ones(3)
-    M = build_M(lam, T, gamma, chi=1.0, tol_deg=1e-8)
+    M = build_M(lam, T @ gamma, chi=1.0, tol_deg=1e-8)
     assert M[0, 1] == 0.0 and M[1, 0] == 0.0
     assert M[0, 2] != 0.0
 
@@ -141,7 +147,8 @@ def test_state_holds_unique_tensor_entries(small_advection, model):
     assert T.shape == (n, n, n) and not T.flags.writeable
     assert state.T is T
     np.testing.assert_array_equal(T, assemble_T(basis))
-    np.testing.assert_array_equal(state.layout.split(state.y)[2], T)
+    rows, cols = np.triu_indices(n)
+    np.testing.assert_array_equal(state.layout.split(state.y)[2], T[:, rows, cols])
 
 
 def test_run_records_trajectory(small_advection):
@@ -175,9 +182,93 @@ def test_step_returns_generator_at_midpoint(small_advection):
     cfg = SolverConfig(chi=60.0, dt=4e-3, t_max=0.04)
     state0 = initial_state(basis, beta, model)
     state1, M_half = step_midpoint(state0, model, cfg)
-    coeffs, lam, T, aux = state0.layout.split(0.5 * (state0.y + state1.y))
-    gamma = model.gamma(coeffs, lam, T, aux)
-    np.testing.assert_array_equal(M_half, build_M(lam, T, gamma, cfg.chi, cfg.tol_deg))
+    coeffs, lam, Tp, aux = state0.layout.split(0.5 * (state0.y + state1.y))
+    gamma = model.gamma(coeffs, lam, Tp, aux)
+    np.testing.assert_array_equal(
+        M_half, build_M(lam, contract(Tp, gamma), cfg.chi, cfg.tol_deg))
+
+
+_MODELS = {
+    "advection": AdvectionModel(0.5),
+    "advection_exact_m": AdvectionModel(0.5, exact_m=True),
+    "kdv_eigen": KdvEigenModel(60.0),
+    "fkpp": FkppModel(nu=10.0, chi=60.0),
+    **{f"kdv_soliton_{law}": KdvSolitonModel(2, amplitude_law=law)
+       for law in KdvSolitonModel.AMPLITUDE_LAWS},
+}
+
+
+def _model_state(small_advection, model):
+    basis, beta, _ = small_advection
+    coeffs = np.array([1.5, 0.8]) if model.coefficient_law == "soliton" else beta
+    return initial_state(basis, coeffs, model)
+
+
+def _full_tensor_rhs(y, layout, model, cfg):
+    """The reduced right-hand side written from the full T by its index
+    definitions."""
+    coeffs, lam, t, aux = layout.views(y)
+    T = unpack_symmetric(t, lam.size)
+    if isinstance(model, FkppModel):
+        quad = np.einsum("ijk,j,k->i", T, coeffs, coeffs)
+        gamma = (model.nu - lam) * coeffs - (model.chi + model.nu) * quad
+    elif isinstance(model, KdvSolitonModel):
+        p = coeffs.size
+        gamma = 4.0 * aux["D"] @ np.einsum("mjj,j->m", T[:, :p, :p], lam[:p] * coeffs)
+    else:  # closures that do not read T
+        gamma = model.gamma(coeffs, lam, None, aux)
+    theta = np.einsum("ijm,m->ij", T, gamma)
+    M = model.override_m(aux)
+    if M is None:
+        M = build_M(lam, theta, cfg.chi, cfg.tol_deg)
+    if model.coefficient_law == "standard":
+        dcoeffs = gamma - M @ coeffs
+    elif model.amplitude_law == "frozen":
+        dcoeffs = np.zeros_like(coeffs)
+    elif model.amplitude_law == "projected":
+        p = coeffs.size
+        S = np.einsum("ijj->ij", T[:, :p, :p])
+        C = np.einsum("ijm,mj->ij", T[:, :p, :], M[:, :p])
+        dcoeffs = np.linalg.lstsq(S, gamma - 2.0 * C @ coeffs, rcond=None)[0]
+    else:
+        p = coeffs.size
+        dcoeffs = -2.0 * (M[:p, :p] - 4.0 * lam[None, :p] * aux["D"][:p, :p]) @ coeffs
+    dT = (np.einsum("li,ljk->ijk", M, T)
+          + np.einsum("lj,ilk->ijk", M, T)
+          + np.einsum("lk,ijl->ijk", M, T))
+    return np.concatenate([
+        dcoeffs,
+        -cfg.chi * np.einsum("iim,m->i", T, gamma),
+        pack_symmetric(dT),
+        *((X @ M - M @ X).ravel() for X in aux.values()),
+    ])
+
+
+@pytest.mark.parametrize("name", list(_MODELS))
+def test_rhs_matches_full_tensor_definition(small_advection, name):
+    # the pair-matrix right-hand side agrees, field by field, with the one
+    # written from the full tensor
+    model = _MODELS[name]
+    state = _model_state(small_advection, model)
+    cfg = SolverConfig(chi=60.0, dt=4e-3, t_max=0.04)
+    got = state.layout.views(dynamics._rhs(state.y, state.layout, model, cfg))
+    ref = state.layout.views(_full_tensor_rhs(state.y, state.layout, model, cfg))
+    for a, b in zip(got[:3] + tuple(got[3].values()), ref[:3] + tuple(ref[3].values())):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("name", list(_MODELS))
+def test_step_never_unpacks_tensor(small_advection, name, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("full (n, n, n) tensor unpacked")
+
+    model = _MODELS[name]
+    state = _model_state(small_advection, model)
+    monkeypatch.setattr(dynamics, "unpack_symmetric", refuse)
+    new, _ = step_midpoint(state, model, SolverConfig(chi=60.0, dt=1e-4, t_max=1e-3))
+    assert new.t == pytest.approx(1e-4)
+    with pytest.raises(AssertionError, match="unpacked"):
+        new.T  # the full tensor stays available, through the patched unpack
 
 
 def test_config_rejects_nonmultiple_horizon():

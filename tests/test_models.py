@@ -13,11 +13,19 @@ from laxrom import (
     assemble_T,
     build_M,
     build_uniform_mesh_1d,
+    contract,
     initial_state,
     kdv_one_soliton,
+    pack_symmetric,
     solve_schrodinger_eig,
     soliton_coefficient_rhs,
+    symmetric_index,
 )
+
+
+def _pair_matrix(T):
+    """The (n, n(n+1)/2) pair matrix of a symmetric (n, n, n) tensor."""
+    return pack_symmetric(T)[symmetric_index(T.shape[0]).pairs]
 
 
 def test_advection_gamma_formula():
@@ -48,9 +56,9 @@ def test_kdv_eigen_gamma_drops_third_derivative_at_chi_3():
 
 def test_fkpp_gamma_quadratic_term():
     # one-mode sanity: gamma = (nu - lam) b - (chi + nu) T b^2
-    T = np.array([[[2.0]]])
+    Tp = np.array([[2.0]])  # the pair matrix of T = [[[2]]]
     model = FkppModel(nu=10.0, chi=3.0)
-    g = model.gamma(np.array([0.5]), np.array([1.0]), T, {})
+    g = model.gamma(np.array([0.5]), np.array([1.0]), Tp, {})
     assert g[0] == pytest.approx((10.0 - 1.0) * 0.5 - 13.0 * 2.0 * 0.25)
 
 
@@ -67,10 +75,10 @@ def test_soliton_gamma_matches_projected_flow(soliton_basis):
     # 8 lambda_1 alpha_1 phi_1 phi_1' (exact flow term of a single hump)
     fem, u0, basis = soliton_basis
     alpha = 4.0 * np.sqrt(-basis.lam[:1])
-    state_T = assemble_T(basis)
+    Tp = _pair_matrix(assemble_T(basis))
     D = assemble_D(basis)
     model = KdvSolitonModel(n_soliton=1)
-    g = model.gamma(alpha, basis.lam, state_T, {"D": D})
+    g = model.gamma(alpha, basis.lam, Tp, {"D": D})
 
     qw, values, deriv = fem.quadrature()
     phi = values @ basis.B[:, 0]
@@ -89,9 +97,10 @@ def test_single_soliton_amplitude_is_stationary(soliton_basis):
     for law in ("frozen", "separated"):
         model = KdvSolitonModel(n_soliton=1, amplitude_law=law)
         state = initial_state(basis, alpha0, model)
-        gamma = model.gamma(state.coeffs, state.lam, state.T, state.aux)
-        M = build_M(state.lam, state.T, gamma, chi=1.0)
-        rhs = model.coeff_rhs(state.coeffs, state.lam, state.T, M, state.aux, gamma)
+        Tp = _pair_matrix(state.T)
+        gamma = model.gamma(state.coeffs, state.lam, Tp, state.aux)
+        M = build_M(state.lam, contract(Tp, gamma), chi=1.0)
+        rhs = model.coeff_rhs(state.coeffs, state.lam, Tp, M, state.aux, gamma)
         assert np.abs(rhs).max() < 1e-14
 
 
@@ -101,11 +110,12 @@ def test_soliton_model_law_selection(soliton_basis):
         KdvSolitonModel(1, amplitude_law="exact")
     model = KdvSolitonModel(1, amplitude_law="projected")
     state = initial_state(basis, 4.0 * np.sqrt(-basis.lam[:1]), model)
-    gamma = model.gamma(state.coeffs, state.lam, state.T, state.aux)
-    M = build_M(state.lam, state.T, gamma, chi=1.0)
-    rhs = model.coeff_rhs(state.coeffs, state.lam, state.T, M, state.aux, gamma)
+    Tp = _pair_matrix(state.T)
+    gamma = model.gamma(state.coeffs, state.lam, Tp, state.aux)
+    M = build_M(state.lam, contract(Tp, gamma), chi=1.0)
+    rhs = model.coeff_rhs(state.coeffs, state.lam, Tp, M, state.aux, gamma)
     np.testing.assert_allclose(
-        rhs, soliton_coefficient_rhs(state.coeffs, state.T, M, gamma))
+        rhs, soliton_coefficient_rhs(state.coeffs, Tp, M, gamma))
 
 
 def test_soliton_rhs_balances_rotation():
@@ -121,7 +131,7 @@ def test_soliton_rhs_balances_rotation():
     M = A - A.T
     alpha = rng.standard_normal(p)
     gamma = rng.standard_normal(n)
-    rhs = soliton_coefficient_rhs(alpha, T, M, gamma)
+    rhs = soliton_coefficient_rhs(alpha, _pair_matrix(T), M, gamma)
     idx = np.arange(p)
     S = T[:, idx, idx]
     C = np.einsum("ijm,mj->ij", T[:, :p, :], M[:, :p])

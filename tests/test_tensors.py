@@ -13,8 +13,10 @@ from laxrom import (
     bracket3,
     build_uniform_mesh_1d,
     commutator,
+    contract,
     pack_symmetric,
     solve_schrodinger_eig,
+    symmetric_index,
     unpack_symmetric,
 )
 
@@ -62,6 +64,11 @@ def _symmetric(n, seed):
     T = sum(T.transpose(p) for p in
             ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)))
     return unpack_symmetric(pack_symmetric(T), n)
+
+
+def _pair_matrix(T):
+    """The (n, n(n+1)/2) pair matrix of a symmetric (n, n, n) tensor."""
+    return pack_symmetric(T)[symmetric_index(T.shape[0]).pairs]
 
 
 def test_packed_tensor_holds_sorted_index_entries(basis):
@@ -136,10 +143,13 @@ def test_bracket3_preserves_symmetry():
     n = 5
     T = _symmetric(n, seed=7)
     M = np.random.default_rng(7).standard_normal((n, n))
+    Tp = _pair_matrix(T)
+    t1 = (M.T @ Tp)[:, symmetric_index(n).pair]
+    full = t1 + t1.transpose(1, 0, 2) + t1.transpose(1, 2, 0)
+    W = bracket3(M, Tp)
+    assert np.array_equal(W, pack_symmetric(full))
     t1 = (M.T @ T.reshape(n, n * n)).reshape(n, n, n)
     full = t1 + t1.transpose(1, 0, 2) + t1.transpose(1, 2, 0)
-    W = bracket3(M, T)
-    assert np.array_equal(W, pack_symmetric(full))
     assert np.abs(unpack_symmetric(W, n) - full).max() < 1e-12
 
 
@@ -149,8 +159,35 @@ def test_bracket3_matches_index_definition():
     ref = (np.einsum("li,ljk->ijk", M, T)
            + np.einsum("lj,ilk->ijk", M, T)
            + np.einsum("lk,ijl->ijk", M, T))
-    W = unpack_symmetric(bracket3(M, T), 6)
+    W = unpack_symmetric(bracket3(M, _pair_matrix(T)), 6)
     assert np.abs(W - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7])
+def test_pair_maps(n):
+    # Tp[l, pair(j, k)] = T_ljk for j <= k, pair symmetric, and the bracket
+    # and Theta from Tp agree with their full-tensor index definitions
+    T = _symmetric(n, seed=20 + n)
+    idx = symmetric_index(n)
+    P = n * (n + 1) // 2
+    assert idx.pairs.shape == (n, P) and idx.pair.shape == (n, n)
+    assert np.array_equal(idx.pair, idx.pair.T)
+    assert np.array_equal(np.sort(idx.pair[np.triu_indices(n)]), np.arange(P))
+    Tp = _pair_matrix(T)
+    oracle = [[T[l, j, k] for j, k in combinations_with_replacement(range(n), 2)]
+              for l in range(n)]
+    assert np.array_equal(Tp, np.reshape(oracle, (n, P)))
+    assert np.array_equal(Tp[:, idx.pair], T)
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n))
+    v = rng.standard_normal(n)
+    ref = (np.einsum("li,ljk->ijk", M, T)
+           + np.einsum("lj,ilk->ijk", M, T)
+           + np.einsum("lk,ijl->ijk", M, T))
+    W = unpack_symmetric(bracket3(M, Tp), n)
+    assert np.abs(W - ref).max() <= 1e-12 * np.abs(ref).max()
+    theta = np.einsum("ijm,m->ij", T, v)
+    assert np.abs(contract(Tp, v) - theta).max() <= 1e-12 * np.abs(theta).max()
 
 
 def test_bracket3_orthogonal_for_skew_generator():
@@ -161,7 +198,7 @@ def test_bracket3_orthogonal_for_skew_generator():
     T = T + T.transpose(1, 0, 2) + T.transpose(2, 1, 0)
     A = rng.standard_normal((6, 6))
     M = A - A.T
-    W = unpack_symmetric(bracket3(M, T), 6)
+    W = unpack_symmetric(bracket3(M, _pair_matrix(T)), 6)
     inner = float(np.sum(T * W))
     assert abs(inner) < 1e-10 * np.linalg.norm(T.ravel()) * np.linalg.norm(W.ravel())
 
