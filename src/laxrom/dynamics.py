@@ -229,19 +229,38 @@ def step_midpoint(state: ReducedState, model: EquationModel, cfg: SolverConfig):
     return ReducedState(new, state.t + dt, layout), m_half
 
 
-def initial_state(basis: ReducedBasis, coeffs0: np.ndarray, model: EquationModel) -> ReducedState:
-    """Assemble T(0) and the model's auxiliary matrices on the basis."""
-    coeffs0 = np.asarray(coeffs0, dtype=float)
-    aux = []
-    for kind in model.required_aux:
-        if kind == "D":
-            aux.append(assemble_D(basis))
+def _operator(root: ReducedBasis, kind: str) -> np.ndarray:
+    """The operator ``kind`` (T, D or D3) of the basis, assembled on first use."""
+    if kind not in root.operators:
+        if kind == "T":
+            op = assemble_T(root)
+        elif kind == "D":
+            op = assemble_D(root)
         elif kind == "D3":
-            aux.append(assemble_D3(basis, basis.potential, basis.chi))
+            op = assemble_D3(root, root.potential, root.chi)
         else:
             raise ValueError(f"unknown auxiliary operator {kind!r}")
-    layout = StateLayout(coeffs0.size, basis.n_modes, model.required_aux)
-    y = _pack(coeffs0, basis.lam, pack_symmetric(assemble_T(basis)), *aux)
+        op.flags.writeable = False
+        root.operators[kind] = op
+    return root.operators[kind]
+
+
+def initial_state(basis: ReducedBasis, coeffs0: np.ndarray, model: EquationModel) -> ReducedState:
+    """T(0) and the model's auxiliary matrices on the basis.
+
+    Every entry T_ijk, D_ij and D3_ij involves only the modes it indexes,
+    so the operators of a truncated basis are the leading [:n, :n, :n] and
+    [:n, :n] blocks of those of its root (``ReducedBasis.truncate``).
+    They are assembled once on the root, at its full mode count, and kept
+    there: all mode counts of a run share one assembly.  An untruncated
+    basis is its own root.
+    """
+    coeffs0 = np.asarray(coeffs0, dtype=float)
+    root, n = basis.root or basis, basis.n_modes
+    aux = [_operator(root, kind)[:n, :n] for kind in model.required_aux]
+    T = _operator(root, "T")[:n, :n, :n]
+    layout = StateLayout(coeffs0.size, n, model.required_aux)
+    y = _pack(coeffs0, basis.lam, pack_symmetric(T), *aux)
     return ReducedState(y, 0.0, layout)
 
 

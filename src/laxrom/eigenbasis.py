@@ -10,7 +10,7 @@ meshes and requests for a large share of the spectrum use a dense solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -56,6 +56,9 @@ class ReducedBasis:
     chi : potential strength used in the operator.
     potential : the nodal u0 that generated the basis.
     fem : the assembled operators (mass = Grammian) the basis lives on.
+    root : the basis this one was truncated from, None if it was not.
+    operators : reduced operators of this basis by name, filled on first
+        use (``dynamics.initial_state``); the modes must not change after.
     """
 
     B: np.ndarray
@@ -63,22 +66,30 @@ class ReducedBasis:
     chi: float
     potential: np.ndarray
     fem: FemOperators
+    root: ReducedBasis | None = field(default=None, init=False, repr=False, compare=False)
+    operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_modes(self) -> int:
         return self.B.shape[1]
 
     def truncate(self, n_modes: int) -> "ReducedBasis":
-        """View of the first ``n_modes`` modes (no copy of fem/potential)."""
+        """View of the first ``n_modes`` modes (no copy of fem/potential).
+
+        Its ``root`` is the untruncated basis, whose operators hold its own
+        as leading blocks.
+        """
         if not 1 <= n_modes <= self.n_modes:
             raise ValueError(f"cannot truncate {self.n_modes} modes to {n_modes}")
-        return ReducedBasis(
+        sub = ReducedBasis(
             B=self.B[:, :n_modes],
             lam=self.lam[:n_modes],
             chi=self.chi,
             potential=self.potential,
             fem=self.fem,
         )
+        sub.root = self.root or self
+        return sub
 
 
 def solve_schrodinger_eig(

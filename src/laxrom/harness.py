@@ -339,9 +339,15 @@ def _trajectory(cfg: ExperimentConfig, basis_full, model, u0, nm: int):
 
 
 def _save_csv(out_dir: str, name: str, header: str, array) -> None:
+    """The bytes of np.savetxt(np.atleast_2d(array), fmt="%.17g",
+    delimiter=",", header=header, comments="") for a nonempty header,
+    formatted in one pass."""
+    a = np.atleast_2d(array)
+    rows, cols = a.shape
+    body = (",".join(["%.17g"] * cols) + "\n") * rows % tuple(a.ravel().tolist())
     os.makedirs(out_dir, exist_ok=True)
-    np.savetxt(os.path.join(out_dir, name), np.atleast_2d(array), fmt="%.17g",
-               delimiter=",", header=header, comments="")
+    with open(os.path.join(out_dir, name), "w") as f:
+        f.write(header + "\n" + body)
 
 
 def _write_manifest(cfg: ExperimentConfig, out_dir: str) -> None:

@@ -13,13 +13,17 @@ from laxrom import (
     KdvSolitonModel,
     SolverConfig,
     assemble,
+    assemble_D,
+    assemble_D3,
     assemble_T,
     build_M,
+    build_structured_square_mesh,
     build_uniform_mesh_1d,
     contract,
     frobenius_norm_sq,
     initial_projection,
     initial_state,
+    kdv_one_soliton,
     mode_indicator,
     pack_symmetric,
     run,
@@ -269,6 +273,46 @@ def test_step_never_unpacks_tensor(small_advection, name, monkeypatch):
     assert new.t == pytest.approx(1e-4)
     with pytest.raises(AssertionError, match="unpacked"):
         new.T  # the full tensor stays available, through the patched unpack
+
+
+def _kdv_eigen_1d():
+    fem = assemble(build_uniform_mesh_1d(-3.0, 23.0, 301), "dirichlet")
+    u0 = kdv_one_soliton(4.0, 0.0, fem.coords, 0.0)
+    return solve_schrodinger_eig(fem, u0, 1.0, 12), KdvEigenModel(1.0)
+
+
+def _fkpp_2d():
+    fem = assemble(build_structured_square_mesh(16), "neumann")
+    xy = fem.coords
+    u0 = np.exp(-50.0 * ((xy[:, 0] - 0.5) ** 2 + (xy[:, 1] - 0.25) ** 2))
+    return solve_schrodinger_eig(fem, u0, 25.0, 12), FkppModel(nu=50.0, chi=25.0)
+
+
+_ASSEMBLE = {
+    "T": assemble_T,
+    "D": assemble_D,
+    "D3": lambda basis: assemble_D3(basis, basis.potential, basis.chi),
+}
+
+
+@pytest.mark.parametrize("case", [_kdv_eigen_1d, _fkpp_2d], ids=["kdv_eigen_1d", "fkpp_2d"])
+def test_truncated_state_holds_leading_blocks(case):
+    # the operators of every mode count are the leading blocks of the one
+    # assembly at the full mode count, and match their own assembly
+    basis_full, model = case()
+    kinds = ("T",) + model.required_aux
+    full = {kind: _ASSEMBLE[kind](basis_full) for kind in kinds}
+    for n in (1, 5, basis_full.n_modes):
+        basis = basis_full.truncate(n)
+        state = initial_state(basis, np.ones(n), model)
+        got = {"T": state.T, **state.aux}
+        for kind in kinds:
+            lead = full[kind][(slice(n),) * full[kind].ndim]
+            own = _ASSEMBLE[kind](basis)
+            scale = np.abs(full[kind]).max()  # D's one-mode block is 0 but for roundoff
+            assert np.abs(got[kind] - lead).max() <= 1e-13 * scale, (kind, n)
+            assert np.abs(got[kind] - own).max() <= 1e-13 * scale, (kind, n)
+    assert set(basis_full.operators) == set(kinds)
 
 
 def test_config_rejects_nonmultiple_horizon():

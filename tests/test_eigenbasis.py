@@ -101,6 +101,7 @@ def test_truncate_views_leading_modes(interval):
     assert sub.n_modes == 4
     assert np.shares_memory(sub.B, basis.B)
     assert np.array_equal(sub.lam, basis.lam[:4])
+    assert basis.root is None and sub.root is basis and sub.truncate(2).root is basis
     with pytest.raises(ValueError):
         basis.truncate(11)
 

@@ -12,6 +12,7 @@ from laxrom import (
     assemble,
     build_uniform_mesh_1d,
     compare_frobenius,
+    dynamics,
     eps_amplitude,
     eps_l2,
     harness,
@@ -333,6 +334,43 @@ def test_csv_values_carry_full_precision(advection_run):
     line = open(os.path.join(cfg.out_dir, "table.csv")).readlines()[1]
     written = float(line.split(",")[1])
     assert written == report.rows[0].mean_eps_l2  # %.17g round-trips doubles
+
+
+def test_operators_are_assembled_once_per_run(tmp_path, monkeypatch):
+    calls = {}
+
+    def counting(name):
+        inner = getattr(dynamics, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args)
+        return counted
+
+    for name in ("assemble_T", "assemble_D"):
+        monkeypatch.setattr(dynamics, name, counting(name))
+    cfg = load_config(write_config(tmp_path, TINY_ADVECTION.replace("nm_list = 4 6",
+                                                                    "nm_list = 4 6 5")))
+    report = run_experiment(cfg)
+    assert [r.nm for r in report.rows] == [4, 6, 5] and not report.errors
+    assert calls == {"assemble_T": 1, "assemble_D": 1}
+
+
+_SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, -1e-300, 0.1, 1.0 / 3.0, 12.0]
+
+
+@pytest.mark.parametrize("array", [
+    np.array(_SPECIAL),
+    np.array([_SPECIAL]),
+    np.array(_SPECIAL[:10]).reshape(5, 2) * np.arange(1, 3),
+    np.random.default_rng(1).standard_normal((7, 4)),
+], ids=["1d", "one_row", "specials_2d", "random_2d"])
+def test_csv_writer_matches_savetxt(tmp_path, array):
+    header = "t,eps_l2,eps_amp"
+    harness._save_csv(str(tmp_path), "one_pass.csv", header, array)
+    np.savetxt(tmp_path / "savetxt.csv", np.atleast_2d(array), fmt="%.17g",
+               delimiter=",", header=header, comments="")
+    assert (tmp_path / "one_pass.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,13 @@ import pytest
 from laxrom import (
     advection_exact,
     assemble,
+    assemble_weighted_mass,
+    build_structured_square_mesh,
     build_uniform_mesh_1d,
     fkpp_reference,
     kdv_n_soliton,
     kdv_one_soliton,
+    reference,
 )
 
 
@@ -99,3 +102,19 @@ def test_fkpp_front_saturates_below_carrying_capacity():
     assert series[-1].max() > 0.99  # the plateau has formed by t_max
     with pytest.raises(ValueError):
         fkpp_reference(fem, u0[:-1], 1.0e3, 7.5e-5, 10)
+
+
+@pytest.mark.parametrize("space", ["neumann_1d", "square_2d"])
+def test_square_load_matches_weighted_mass(space):
+    # the FKPP reaction's quadratic load, taken at the quadrature points,
+    # equals W(u) u with the assembled weighted mass matrix
+    if space == "neumann_1d":
+        fem = assemble(build_uniform_mesh_1d(0.0, 1.0, 101), "neumann")
+        u = np.exp(-100.0 * (fem.coords - 0.25) ** 2) + 0.3 * fem.coords
+    else:
+        fem = assemble(build_structured_square_mesh(20), "neumann")
+        xy = fem.coords
+        u = np.exp(-50.0 * ((xy[:, 0] - 0.5) ** 2 + (xy[:, 1] - 0.25) ** 2)) - 0.2 * xy[:, 0]
+    want = assemble_weighted_mass(fem, u) @ u
+    got = reference._square_load(fem)(u)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
