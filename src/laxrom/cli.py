@@ -12,7 +12,6 @@ and --verbose (progress lines, logged to stderr).
 from __future__ import annotations
 
 import argparse
-import ctypes
 import logging
 import sys
 
@@ -48,33 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _keep_freed_heap() -> None:
-    """Stop glibc from returning freed heap to the kernel after every step.
-
-    Each reduced step allocates and frees several arrays of n^2(n+1)/2
-    doubles (0.19 MB at 36 modes): the pair matrix of the interaction tensor
-    and the bracket's GEMM product, beside the state-sized ones (89 KB at 36
-    modes).  With
-    glibc's start-up thresholds (128 KiB) that memory goes back to the
-    kernel and comes back as fresh zeroed pages, one page fault per 4 KiB.
-    The values set here are the ones glibc's own adaptive rule reaches once
-    the process has freed a 32 MiB block.  Other C libraries are left as
-    they are.
-    """
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc <malloc.h>
-    mallopt(m_mmap_threshold, 32 << 20)
-    mallopt(m_trim_threshold, 64 << 20)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _keep_freed_heap()
     logging.basicConfig(format="%(message)s")
     logging.getLogger("laxrom").setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:

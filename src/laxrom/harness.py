@@ -186,6 +186,17 @@ def _check(cfg: ExperimentConfig) -> None:
                          f"{KdvSolitonModel.AMPLITUDE_LAWS}, got {cfg.amplitude_law!r}")
     if not set(cfg.methods) <= set(METHODS) or len(set(cfg.methods)) < len(cfg.methods):
         raise ValueError(f"methods must be among {METHODS}, each once, got {cfg.methods}")
+    if cfg.problem in ("kdv_eigen", "kdv_soliton"):
+        if cfg.c_scatter is not None or cfg.k_scatter is not None:
+            c, k = cfg.c_scatter or (), cfg.k_scatter or ()
+            if not c or len(c) != len(k):
+                raise ValueError("c_scatter and k_scatter must be given together, "
+                                 "with equal numbers of entries")
+            if min(c + k) <= 0.0:
+                raise ValueError("c_scatter and k_scatter entries must be positive")
+        elif cfg.beta_speed is None or cfg.beta_speed <= 0.0:
+            raise ValueError("KdV needs scattering data or beta_speed > 0, "
+                             f"got beta_speed = {cfg.beta_speed}")
     if cfg.problem == "scsa" and cfg.signal != "double_gaussian":
         return  # the signal file sets the mesh
     dofs = _build_space(cfg).n_active
@@ -263,8 +274,8 @@ def _build_space(cfg: ExperimentConfig):
     return assemble(mesh, bc)
 
 
-def _exact(cfg: ExperimentConfig, x, t: float) -> np.ndarray:
-    """Closed-form advection or KdV solution at time t."""
+def _exact(cfg: ExperimentConfig, x, t) -> np.ndarray:
+    """Closed-form advection or KdV solution; x and t broadcast."""
     if cfg.problem == "advection":
         return np.exp(-250.0 * (x - cfg.c * t - 0.25) ** 2)
     if cfg.c_scatter is not None:
@@ -278,24 +289,22 @@ def _initial_condition(cfg: ExperimentConfig, fem):
         if xy.ndim == 2:
             return np.exp(-50.0 * ((xy[:, 0] - 0.5) ** 2 + (xy[:, 1] - 0.25) ** 2))
         return np.exp(-100.0 * (xy - 0.25) ** 2) + np.exp(-100.0 * (xy - 0.75) ** 2)
-    if cfg.problem in ("kdv_eigen", "kdv_soliton"):
-        if cfg.c_scatter is not None:
-            if cfg.k_scatter is None or len(cfg.c_scatter) != len(cfg.k_scatter):
-                raise ValueError("c_scatter and k_scatter must be given together")
-        elif cfg.beta_speed is None:
-            raise ValueError("KdV needs beta_speed (one soliton) or scattering data")
-    elif cfg.problem != "advection":
-        raise ValueError(f"no initial condition for problem {cfg.problem!r}")
     return _exact(cfg, xy, 0.0)
 
 
 def _reference_series(cfg: ExperimentConfig, fem, u0, n_steps: int) -> np.ndarray:
-    """Reference nodal solution at every time level, rows = time."""
+    """Reference nodal solution at every time level, rows = time.
+
+    The closed forms are evaluated _CHUNK levels at a time, a (levels, 1)
+    column of times against the row of nodes.
+    """
     if cfg.problem == "fkpp":
         return fkpp_reference(fem, u0, cfg.nu, cfg.dt, n_steps)
+    times = cfg.dt * np.arange(n_steps + 1)
     out = np.empty((n_steps + 1, fem.n_active))
-    for i, t in enumerate(cfg.dt * np.arange(n_steps + 1)):
-        out[i] = _exact(cfg, fem.coords, t)
+    for start in range(0, n_steps + 1, _CHUNK):
+        block = slice(start, start + _CHUNK)
+        out[block] = _exact(cfg, fem.coords, times[block, None])
     return out
 
 
@@ -380,8 +389,8 @@ def _snapshot_rows(fem, u_ref, u_rom) -> np.ndarray:
 # main drivers
 
 
-# time levels reconstructed and scored at once: the (levels, N) arrays of a
-# chunk stay a few MiB on the largest mesh
+# time levels evaluated, reconstructed and scored at once: the (levels, N)
+# arrays of a chunk stay a few MiB on the largest mesh
 _CHUNK = 64
 
 

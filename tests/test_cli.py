@@ -81,6 +81,8 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     soliton = ADVECTION_INI.replace("problem = advection", "problem = kdv_soliton")
     scsa = "[experiment]\nproblem = scsa\n[scsa]\nchi_grid = 50\n"
+    kdv3 = (ADVECTION_INI.replace("problem = advection", "problem = kdv_eigen")
+            .replace("c = 0.5", "c_scatter = 0.05 0.15 10.0\nk_scatter = 1.0 1.5 1.75"))
     for command, text, message in [
         ("run", ADVECTION_INI + "\n[plotting]\nstyle = 3\n", "unknown section"),
         ("run", ADVECTION_INI.replace("t_max = 0.25", "t_max = 0.26"), "not a multiple of dt"),
@@ -110,6 +112,14 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
         ("frobenius", ADVECTION_INI.replace("chi = 60", "chi = 60\nnm_ref = 100"),
          "nm_ref = 100 modes requested from a mesh of 79 dofs"),
         ("frobenius", scsa, "needs a dynamic problem"),
+        ("run", kdv3.replace("k_scatter = 1.0 1.5 1.75", "k_scatter = 1.0 1.5"),
+         "c_scatter and k_scatter must be given together"),
+        ("run", kdv3.replace("c_scatter = 0.05 0.15 10.0", "c_scatter = 0.05 -0.15 10.0"),
+         "c_scatter and k_scatter entries must be positive"),
+        ("run", soliton.replace("chi = 60", "chi = 1") + "beta_speed = -4\n",
+         "KdV needs scattering data or beta_speed > 0"),
+        ("run", kdv3.replace("c_scatter = 0.05 0.15 10.0\nk_scatter = 1.0 1.5 1.75", ""),
+         "KdV needs scattering data or beta_speed > 0"),
     ]:
         path.write_text(text)
         out = tmp_path / "out"
@@ -144,11 +154,13 @@ nu = 400
     assert "N_M=4" in capsys.readouterr().err
     assert os.path.exists(os.path.join(out, "failures.txt"))
 
-    # a set-up failure (no soliton data) leaves no output directory behind
-    path.write_text(ADVECTION_INI.replace("problem = advection", "problem = kdv_eigen"))
+    # a set-up failure (a soliton too low for a bound state on [0, 1]) leaves
+    # no output directory behind
+    path.write_text(ADVECTION_INI.replace("problem = advection", "problem = kdv_soliton")
+                    .replace("chi = 60", "chi = 1").replace("c = 0.5", "beta_speed = 4"))
     out = tmp_path / "setup"
     assert main(["run", str(path), "--out", str(out)]) == 1
-    assert "needs beta_speed" in capsys.readouterr().err
+    assert "no bound state" in capsys.readouterr().err
     assert not out.exists()
 
 

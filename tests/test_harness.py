@@ -329,6 +329,23 @@ def test_error_series_matches_per_level_definition(problem):
     assert k == n_steps
 
 
+@pytest.mark.parametrize("problem, model", [
+    ("advection", {"c": 0.5}),
+    ("kdv_eigen", {"beta_speed": 4.0, "x0": 0.0}),
+    ("kdv_eigen", {"c_scatter": (5.0e-2, 1.5e-1, 1.0e1), "k_scatter": (1.0, 1.5, 1.75)}),
+])
+def test_reference_series_blocks_match_per_level_exact(problem, model):
+    # 2501 levels: 39 full blocks and one of 5
+    cfg = replace(ExperimentConfig(problem=problem), a=-5.0, b=15.0, n_nodes=101,
+                  dt=2e-4, t_max=0.5, **model)
+    n_steps = cfg.solver().n_steps()
+    assert (n_steps + 1) % harness._CHUNK == 5
+    fem = harness._build_space(cfg)
+    ref = harness._reference_series(cfg, fem, None, n_steps)
+    for i, row in enumerate(ref):
+        np.testing.assert_array_equal(row, harness._exact(cfg, fem.coords, cfg.dt * i))
+
+
 def test_csv_values_carry_full_precision(advection_run):
     cfg, report = advection_run
     line = open(os.path.join(cfg.out_dir, "table.csv")).readlines()[1]

@@ -75,6 +75,65 @@ def test_n_soliton_input_validation():
         kdv_n_soliton([1.0], [-1.0], x, 0.0)
 
 
+def _log_det_u(c, k, x, t, h):
+    # 2 d^2/dx^2 log det(I + A) by central differences of step h
+    c, k = np.asarray(c), np.asarray(k)
+
+    def log_det(xs):
+        e = c[None, :] * np.exp(k[None, :] * xs[:, None] - 4.0 * k**3 * t)
+        A = e[:, :, None] * e[:, None, :] / (k[:, None] + k[None, :])
+        return np.log(np.linalg.det(np.eye(k.size) + A))
+
+    return 2.0 * (log_det(x + h) - 2.0 * log_det(x) + log_det(x - h)) / h**2
+
+
+@pytest.mark.parametrize("c, k", [
+    ([0.5, 2.0], [0.8, 1.4]),
+    ([5.0e-2, 1.5e-1, 1.0e1], [1.0, 1.5, 1.75]),
+])
+def test_n_soliton_matches_determinant_oracle(c, k):
+    x = np.linspace(-10.0, 10.0, 801)
+    for t in (0.0, 0.3):
+        u = kdv_n_soliton(c, k, x, t)
+        want = _log_det_u(c, k, x, t, h=1e-3)
+        # central-difference truncation and roundoff, with |u| of order 1-5
+        assert np.abs(u - want).max() < 1e-5 * np.abs(want).max()
+
+
+def test_n_soliton_stays_finite_at_extreme_phases():
+    c = np.array([5.0e-2, 1.5e-1, 1.0e1])
+    k = np.array([1.0, 1.5, 1.75])
+    far = np.array([-1.0e4, -5.0e3, 5.0e3, 1.0e4])
+    u = kdv_n_soliton(c, k, far, 0.0)
+    assert np.all(np.isfinite(u)) and np.abs(u).max() < 1e-12
+    # at t = 1e3 the solitons sit near x = 4 k^2 t, far right of the window
+    x = np.linspace(-15.0, 15.0, 301)
+    u = kdv_n_soliton(c, k, x, 1.0e3)
+    assert np.all(np.isfinite(u)) and np.abs(u).max() < 1e-12
+
+
+def test_n_soliton_time_column_matches_per_level_calls():
+    c, k = [5.0e-2, 1.5e-1, 1.0e1], [1.0, 1.5, 1.75]
+    x = np.linspace(-15.0, 15.0, 151)
+    times = np.linspace(0.0, 0.5, 11)
+    block = kdv_n_soliton(c, k, x[None, :], times[:, None])
+    assert block.shape == (times.size, x.size)
+    for row, t in zip(block, times):
+        np.testing.assert_array_equal(row, kdv_n_soliton(c, k, x, t))
+
+
+@pytest.mark.filterwarnings("error")
+def test_n_soliton_equal_wavenumbers_merge_into_one_soliton():
+    # A is rank one for k = (1, 1): det(I + A) = 1 + (c1^2 + c2^2) e^{2 theta} / 2k,
+    # the one-soliton of c^2 = c1^2 + c2^2 = 2k (speed 4, offset 0), and the
+    # pair term log|k1 - k2| = log 0 is never evaluated
+    x = np.linspace(-15.0, 15.0, 301)
+    for t in (0.0, 0.4):
+        u = kdv_n_soliton([1.0, 1.0], [1.0, 1.0], x, t)
+        assert np.abs(u - kdv_n_soliton([np.sqrt(2.0)], [1.0], x, t)).max() < 1e-12
+        assert np.abs(u - kdv_one_soliton(4.0, 0.0, x, t)).max() < 1e-12
+
+
 def test_fkpp_constant_state_follows_logistic():
     # spatially constant data under Neumann conditions: diffusion drops out
     # and every node obeys the logistic law u' = nu u (1 - u)
