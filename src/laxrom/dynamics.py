@@ -34,6 +34,7 @@ import numpy as np
 
 from .eigenbasis import ReducedBasis
 from .models import EquationModel
+from .reconstruct import InvariantError, rotations
 from .tensors import (
     assemble_D,
     assemble_D3,
@@ -225,8 +226,8 @@ def step_midpoint(state: ReducedState, model: EquationModel, cfg: SolverConfig):
             f"at t={state.t:.6g}: no convergence in {cfg.fp_max_iters} "
             f"iterations (last delta {last_delta:.3e})"
         )
-    *_, m_half = _generator(layout.split(0.5 * (y + new)), model, cfg)
-    return ReducedState(new, state.t + dt, layout), m_half
+    *_, M_half = _generator(layout.split(0.5 * (y + new)), model, cfg)
+    return ReducedState(new, state.t + dt, layout), M_half
 
 
 def _operator(root: ReducedBasis, kind: str) -> np.ndarray:
@@ -268,24 +269,31 @@ def initial_state(basis: ReducedBasis, coeffs0: np.ndarray, model: EquationModel
 class Trajectory:
     """Reduced trajectory stored as arrays.
 
-    ``times``/``coeffs``/``lambdas`` have one row per time level;
-    ``m_half`` and ``frob`` (Frobenius norm of M) one entry per step,
-    evaluated at the converged half steps.  The full initial and final
-    states are kept for inspection; interior interaction tensors are not
-    retained.
+    ``times``/``coeffs``/``lambdas``/``frame`` have one row per time level,
+    ``frob`` (Frobenius norm of M) one entry per step, evaluated at the
+    converged half steps.  ``frame`` holds each level in the frame of the
+    initial modes B_0: a_k = Q_k c_k (standard law) or the p columns
+    Q_k[:, :p] of the squared modes (soliton law); ``rotation`` is the end
+    rotation Q_n.  The full initial and final states are kept for
+    inspection; interior interaction tensors and generators are not.
     """
 
     times: np.ndarray
     coeffs: np.ndarray
     lambdas: np.ndarray
-    m_half: np.ndarray
+    frame: np.ndarray
+    rotation: np.ndarray
     frob: np.ndarray
     first: ReducedState
     last: ReducedState
 
     @property
     def n_steps(self) -> int:
-        return self.m_half.shape[0]
+        return self.frob.shape[0]
+
+
+# steps whose basis rotations are advanced together (one batched solve)
+_BLOCK = 64
 
 
 def run(
@@ -296,8 +304,9 @@ def run(
 ) -> Trajectory:
     """Integrate the reduced system over [0, t_max].
 
-    A FixedPointError is raised again with the mode count and the index of
-    the failed step prefixed to its message.
+    The basis rotation advances _BLOCK steps at a time (``rotations``).  A
+    FixedPointError or InvariantError is raised again with the mode count
+    and the index of the failed step prefixed to its message.
     """
     if cfg.chi != basis.chi:
         raise ValueError(f"config chi={cfg.chi} but basis was built with {basis.chi}")
@@ -305,16 +314,20 @@ def run(
     state = initial_state(basis, coeffs0, model)
     n = basis.n_modes
     p = state.coeffs.size
+    standard = model.coefficient_law == "standard"
 
     times = np.empty(n_steps + 1)
     coeffs = np.empty((n_steps + 1, p))
     lambdas = np.empty((n_steps + 1, n))
-    m_half = np.empty((n_steps, n, n))
+    frame = np.empty((n_steps + 1, n) if standard else (n_steps + 1, n, p))
     frob = np.empty(n_steps)
+    m_block = np.empty((_BLOCK, n, n))
 
     times[0] = 0.0
     coeffs[0] = state.coeffs
     lambdas[0] = state.lam
+    Q = np.eye(n)
+    frame[0] = coeffs[0] if standard else Q[:, :p]
     first = state
     for k in range(n_steps):
         try:
@@ -324,13 +337,21 @@ def run(
         times[k + 1] = state.t
         coeffs[k + 1] = state.coeffs
         lambdas[k + 1] = state.lam
-        m_half[k] = M
+        m_block[k % _BLOCK] = M
         frob[k] = np.sqrt(frobenius_norm_sq(M))
+        if k % _BLOCK == _BLOCK - 1 or k == n_steps - 1:
+            try:
+                Qs = rotations(Q, m_block[:k % _BLOCK + 1], cfg.dt)
+            except InvariantError as exc:
+                raise InvariantError(f"N_M={n} step {k}: {exc}") from None
+            rows, Q, Qp = slice(k + 2 - len(Qs), k + 2), Qs[-1], Qs[:, :, :p]
+            frame[rows] = (Qp @ coeffs[rows, :, None])[..., 0] if standard else Qp
     return Trajectory(
         times=times,
         coeffs=coeffs,
         lambdas=lambdas,
-        m_half=m_half,
+        frame=frame,
+        rotation=Q,
         frob=frob,
         first=first,
         last=state,

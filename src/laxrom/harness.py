@@ -27,7 +27,7 @@ from .mesh import (
     build_uniform_mesh_1d,
 )
 from .models import AdvectionModel, FkppModel, KdvEigenModel, KdvSolitonModel
-from .reconstruct import propagate_basis, reconstruct_nodal, rotations
+from .reconstruct import propagate_basis, reconstruct_nodal
 from .reference import fkpp_reference, kdv_n_soliton, kdv_one_soliton
 from .scsa import METHODS, chi_sweep, read_signal_csv, shift_nonnegative
 
@@ -295,15 +295,18 @@ def _initial_condition(cfg: ExperimentConfig, fem):
 def _reference_series(cfg: ExperimentConfig, fem, u0, n_steps: int) -> np.ndarray:
     """Reference nodal solution at every time level, rows = time.
 
-    The closed forms are evaluated _CHUNK levels at a time, a (levels, 1)
-    column of times against the row of nodes.
+    The closed forms are evaluated a block of levels at a time, a
+    (levels, 1) column of times against the row of nodes.  The n-soliton
+    form holds 2^n arrays of a block, so its blocks have _CHUNK x 8 / 2^n
+    levels; the others have _CHUNK.
     """
     if cfg.problem == "fkpp":
         return fkpp_reference(fem, u0, cfg.nu, cfg.dt, n_steps)
+    size = _CHUNK if cfg.c_scatter is None else max(1, _CHUNK * 8 // 2 ** len(cfg.c_scatter))
     times = cfg.dt * np.arange(n_steps + 1)
     out = np.empty((n_steps + 1, fem.n_active))
-    for start in range(0, n_steps + 1, _CHUNK):
-        block = slice(start, start + _CHUNK)
+    for start in range(0, n_steps + 1, size):
+        block = slice(start, start + size)
         out[block] = _exact(cfg, fem.coords, times[block, None])
     return out
 
@@ -394,32 +397,26 @@ def _snapshot_rows(fem, u_ref, u_rom) -> np.ndarray:
 _CHUNK = 64
 
 
-def _error_series(basis, traj, dt, law, ref, snap_indices):
+def _error_series(basis, traj, law, ref, snap_indices):
     """eps_L2 / amplitude error at every level; snapshots where requested.
 
-    The modes at level k are B_0 Q_k.  One pass over the rotations Q_k
-    takes each level into the frame of B_0: the coefficients a_k = Q_k c_k
-    for the standard law, the p columns Q_k[:, :p] of the squared modes for
-    the soliton law.  The levels are then reconstructed and scored a chunk
-    at a time.  The end basis B_0 Q_n goes through propagate_basis, which
-    checks it G-orthonormal.
+    The modes at level k are B_0 Q_k, and ``traj.frame`` holds each level
+    in the frame of B_0 (``dynamics.Trajectory``).  The levels are
+    reconstructed and scored a chunk at a time.  The end basis B_0 Q_n goes
+    through propagate_basis, which checks it G-orthonormal.
     """
-    levels, p = traj.coeffs.shape
-    standard = law == "standard"
-    framed = np.empty((levels, basis.n_modes) if standard else (levels, basis.n_modes, p))
-    for k, Q in enumerate(rotations(traj.m_half, dt)):
-        framed[k] = Q[:, :p] @ traj.coeffs[k] if standard else Q[:, :p]
-    propagate_basis(basis, Q)
+    propagate_basis(basis, traj.rotation)
+    levels = traj.frame.shape[0]
 
     eps = np.empty(levels)
     amp = np.empty(levels)
     snaps = {}
     for start in range(0, levels, _CHUNK):
         rows = slice(start, start + _CHUNK)
-        if standard:
-            u = reconstruct_nodal(basis, framed[rows])
+        if law == "standard":
+            u = reconstruct_nodal(basis, traj.frame[rows])
         else:
-            u = reconstruct_nodal(basis, traj.coeffs[rows], law, framed[rows])
+            u = reconstruct_nodal(basis, traj.coeffs[rows], law, traj.frame[rows])
         eps[rows] = eps_l2(basis.fem, ref[rows], u)
         amp[rows] = eps_amplitude(ref[rows], u)
         snaps.update((i, u[i - start].copy()) for i in snap_indices if start <= i < start + len(u))
@@ -430,8 +427,7 @@ def _run_one_nm(cfg, basis_full, model, u0, ref, nm, out_dir):
     basis, traj = _trajectory(cfg, basis_full, model, u0, nm)
     n = traj.n_steps
     snap_indices = sorted({0, n // 4, n // 2, n})
-    eps, amp, snaps = _error_series(basis, traj, cfg.dt, model.coefficient_law, ref,
-                                    snap_indices)
+    eps, amp, snaps = _error_series(basis, traj, model.coefficient_law, ref, snap_indices)
 
     if out_dir is not None:
         _save_csv(out_dir, f"errors_nm{nm:03d}.csv", "t,eps_l2,eps_amp",
@@ -472,8 +468,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     report = MetricsReport()
     for nm in cfg.nm_list:
         try:
-            row, _ = _run_one_nm(cfg, basis_full, model, u0, ref, nm, out_dir)
-            report.rows.append(row)
+            report.rows.append(_run_one_nm(cfg, basis_full, model, u0, ref, nm, out_dir)[0])
         except Exception as exc:  # noqa: BLE001 - reported per N_M
             report.errors[nm] = f"{type(exc).__name__}: {exc}"
 

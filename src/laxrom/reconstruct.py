@@ -2,25 +2,25 @@
 
 The nodal modes follow dB/dt = B M with an n x n skew generator M, so the
 modes at time level k are B_k = B_0 Q_k with Q_k an n x n rotation, and no
-nodal array has to be stepped.  ``rotations`` advances Q with the
-Crank-Nicolson (Cayley) update  Q+ = Q C,  C = (I - dt/2 M)^-1 (I + dt/2 M),
-which preserves orthogonality exactly for skew M, followed by a block
-Gram-Schmidt (through the Cholesky factor of the Gram matrix) that stops
-roundoff drift from accumulating.  ``propagate_basis`` maps a rotation to
-the nodal modes B_0 Q and checks that they are G-orthonormal.
+nodal array has to be stepped.  ``rotations`` advances Q over a block of
+steps by the Crank-Nicolson (Cayley) update  Q+ = Q C,  C = (I - dt/2 M)^-1
+(I + dt/2 M), which preserves orthogonality exactly for skew M; a block
+Gram-Schmidt (through the Cholesky factor of the Gram matrix) of the
+block's last rotation stops roundoff drift from accumulating.
+``propagate_basis`` maps a rotation to the nodal modes B_0 Q and checks
+that they are G-orthonormal.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from .eigenbasis import ReducedBasis
 
 __all__ = ["InvariantError", "rotations", "propagate_basis", "reconstruct_nodal",
            "orthonormalize_g"]
 
-# largest |B^T G B - I| a transported basis may show
+# bound on |Q^T Q - I| of a rotation and |B^T G B - I| of a transported basis
 ORTHONORMALITY_TOL = 1e-10
 
 
@@ -40,36 +40,40 @@ def orthonormalize_g(B: np.ndarray) -> np.ndarray:
     """
     B = np.asarray(B, dtype=float)
     S = B.T @ B
-    R = cholesky(S)
+    L = np.linalg.cholesky(S)  # L = R^T
     # a pivot is a squared norm: roundoff leaves ~1e-8 of a column's norm
-    lost = np.flatnonzero(np.diag(R) <= 1e-6 * np.sqrt(np.diag(S)))
+    lost = np.flatnonzero(np.diag(L) <= 1e-6 * np.sqrt(np.diag(S)))
     if lost.size:
         raise np.linalg.LinAlgError(f"column {lost[0]} lost rank in Gram-Schmidt")
-    return solve_triangular(R, B.T, trans="T").T
+    # numpy's solve, not scipy's solve_triangular: at n = 36 the latter
+    # wakes a second BLAS thread, which then spins for about 0.1 s
+    return np.linalg.solve(L, B.T).T
 
 
-def rotations(m_half: np.ndarray, dt: float):
-    """Yield the rotations Q_0 = I, Q_1, ..., Q_{n_steps} of the modes.
+def rotations(Q: np.ndarray, m_block: np.ndarray, dt: float) -> np.ndarray:
+    """The rotations after each step of one block, shape (steps, n, n).
 
-    ``m_half`` holds one half-step generator per step, shape
-    (n_steps, n, n), and Q_{k+1} = orth(Q_k C_k) with C_k the Cayley factor
-    of step k.  The modes at level k are then B_0 Q_k (``propagate_basis``).
+    Starting from the rotation ``Q`` (n, n), entry j is Q C_0 ... C_j, with
+    C_j the Cayley factor of the generator ``m_block[j]``; the factors of
+    the block come from one batched solve.  The last entry, which seeds the
+    next block, is re-orthonormalized; InvariantError is raised first when
+    it is off orthonormal by more than ORTHONORMALITY_TOL.
     """
-    m_half = np.asarray(m_half, dtype=float)
-    if m_half.ndim != 3 or m_half.shape[1] != m_half.shape[2]:
-        raise ValueError(f"generators of shape {m_half.shape} are not a stack of square matrices")
     h = 0.5 * dt
-    eye = np.eye(m_half.shape[1])
-    Q = eye.copy()
-    yield Q
-    for M in m_half:
-        cayley = np.linalg.solve(eye - h * M, eye + h * M)
-        Q = orthonormalize_g(Q @ cayley)
-        yield Q
+    eye = np.eye(Q.shape[0])
+    out = np.linalg.solve(eye - h * m_block, eye + h * m_block)
+    for C in out:  # in place: each factor becomes the rotation after its step
+        Q = Q @ C
+        C[...] = Q
+    dev = float(np.abs(Q.T @ Q - eye).max())
+    if not dev <= ORTHONORMALITY_TOL:
+        raise InvariantError(f"rotation has |Q^T Q - I| = {dev:.3e}, above {ORTHONORMALITY_TOL:g}")
+    out[-1] = orthonormalize_g(Q)
+    return out
 
 
 def propagate_basis(basis: ReducedBasis, Q: np.ndarray) -> ReducedBasis:
-    """The modes B Q after the rotation ``Q`` (one of ``rotations``).
+    """The modes B Q after the rotation ``Q`` (see ``rotations``).
 
     Raises InvariantError when they are not G-orthonormal to
     ORTHONORMALITY_TOL.

@@ -1,5 +1,6 @@
 """Reduced time integration: generator assembly, midpoint stepping."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ from laxrom import (
     AdvectionModel,
     FixedPointError,
     FkppModel,
+    InvariantError,
     KdvEigenModel,
     KdvSolitonModel,
     SolverConfig,
@@ -163,12 +165,47 @@ def test_run_records_trajectory(small_advection):
     assert traj.times.shape == (11,)
     assert traj.coeffs.shape == (11, 5)
     assert traj.lambdas.shape == (11, 5)
-    assert traj.m_half.shape == (10, 5, 5)
+    assert traj.frame.shape == (11, 5)
+    assert traj.rotation.shape == (5, 5)
     assert np.all(np.isfinite(traj.frob))
+    # level 0 is in the frame of the initial modes already
+    np.testing.assert_array_equal(traj.frame[0], beta)
     assert traj.times[-1] == pytest.approx(0.04)
     np.testing.assert_allclose(traj.coeffs[0], beta)
     with pytest.raises(ValueError):
         run(basis, beta, model, SolverConfig(chi=61.0, dt=4e-3, t_max=0.04))
+
+
+def test_run_reports_rotation_off_orthonormal(small_advection):
+    # a generator with a symmetric part runs through the midpoint step, but
+    # its Cayley factors are not rotations: the check at the end of the
+    # first block of steps names the mode count and the step
+    basis, beta, _ = small_advection
+
+    class NonSkew(AdvectionModel):
+        def override_m(self, aux):
+            return -self.c * aux["D"] + 0.5 * np.eye(aux["D"].shape[0])
+
+    cfg = SolverConfig(chi=60.0, dt=4e-3, t_max=0.4)
+    assert cfg.n_steps() > dynamics._BLOCK
+    with pytest.raises(InvariantError, match=rf"^N_M=5 step {dynamics._BLOCK - 1}: rotation "
+                                             r"has \|Q\^T Q - I\| = "):
+        run(basis, beta, NonSkew(0.5), cfg)
+
+
+def test_trajectory_keeps_no_per_step_matrices():
+    # at 36 modes the arrays of a trajectory stay far below one n x n
+    # matrix per step
+    fem = assemble(build_uniform_mesh_1d(0.0, 1.0, 121), "dirichlet")
+    u0 = np.exp(-250.0 * (fem.coords - 0.25) ** 2)
+    basis = solve_schrodinger_eig(fem, u0, 60.0, 36)
+    beta, _ = initial_projection(basis, u0)
+    cfg = SolverConfig(chi=60.0, dt=1.0 / 256, t_max=0.5)
+    traj = run(basis, beta, AdvectionModel(0.5), cfg)
+    n, n_steps = 36, cfg.n_steps()
+    arrays = [getattr(traj, f.name) for f in dataclasses.fields(traj)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)] + [traj.first.y, traj.last.y]
+    assert sum(a.nbytes for a in arrays) < n_steps * n * n * 8 / 4
 
 
 def test_run_keeps_initial_state_intact(small_advection):

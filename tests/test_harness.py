@@ -17,9 +17,9 @@ from laxrom import (
     eps_l2,
     harness,
     load_config,
+    orthonormalize_g,
     propagate_basis,
     reconstruct_nodal,
-    rotations,
     run_chi_sweep,
     run_experiment,
     run_scsa,
@@ -316,17 +316,23 @@ def test_error_series_matches_per_level_definition(problem):
     basis, traj = harness._trajectory(cfg, basis_full, model, u0, nm)
     law = model.coefficient_law
     snap_indices = [0, harness._CHUNK + 1, n_steps]
-    eps, amp, snaps = harness._error_series(basis, traj, cfg.dt, law, ref, snap_indices)
+    eps, amp, snaps = harness._error_series(basis, traj, law, ref, snap_indices)
     assert sorted(snaps) == snap_indices
 
-    # the definition, one level at a time
-    for k, Q in enumerate(rotations(traj.m_half, cfg.dt)):
+    # the definition, one level at a time: the same midpoint steps, each
+    # generator's Cayley factor applied and Gram-Schmidt at every step
+    solver, eye, h = cfg.solver(), np.eye(nm), 0.5 * cfg.dt
+    state, Q = dynamics.initial_state(basis, traj.coeffs[0], model), eye
+    for k in range(n_steps + 1):
         u = reconstruct_nodal(propagate_basis(basis, Q), traj.coeffs[k], law)
         assert eps[k] == pytest.approx(eps_l2(fem, ref[k], u), rel=1e-12)
         assert amp[k] == pytest.approx(eps_amplitude(ref[k], u), rel=1e-12)
         if k in snaps:
             np.testing.assert_allclose(snaps[k], u, rtol=0, atol=1e-12 * np.abs(u).max())
-    assert k == n_steps
+        if k < n_steps:
+            state, M = dynamics.step_midpoint(state, model, solver)
+            np.testing.assert_array_equal(state.coeffs, traj.coeffs[k + 1])
+            Q = orthonormalize_g(Q @ np.linalg.solve(eye - h * M, eye + h * M))
 
 
 @pytest.mark.parametrize("problem, model", [
@@ -344,6 +350,29 @@ def test_reference_series_blocks_match_per_level_exact(problem, model):
     ref = harness._reference_series(cfg, fem, None, n_steps)
     for i, row in enumerate(ref):
         np.testing.assert_array_equal(row, harness._exact(cfg, fem.coords, cfg.dt * i))
+
+
+def test_n_soliton_reference_blocks_are_bounded(monkeypatch):
+    # the n-soliton form holds 2^n arrays of a block's size, so a block of
+    # six solitons has at most 64 x 8 / 2^6 levels
+    shapes = []
+    inner = harness.kdv_n_soliton
+
+    def recording(c, k, x, t):
+        shapes.append(np.shape(t))
+        return inner(c, k, x, t)
+
+    monkeypatch.setattr(harness, "kdv_n_soliton", recording)
+    k = tuple(1.0 + 0.1 * m for m in range(6))
+    cfg = replace(ExperimentConfig(problem="kdv_eigen"), a=-5.0, b=15.0, n_nodes=101,
+                  dt=1e-3, t_max=0.02, c_scatter=(1.0,) * 6, k_scatter=k)
+    n_steps = cfg.solver().n_steps()
+    fem = harness._build_space(cfg)
+    ref = harness._reference_series(cfg, fem, None, n_steps)
+    assert len(shapes) > 1 and sum(s[0] for s in shapes) == n_steps + 1
+    assert all(s[0] * 2 ** 6 <= harness._CHUNK * 8 for s in shapes)
+    for i, row in enumerate(ref):
+        np.testing.assert_array_equal(row, inner(cfg.c_scatter, k, fem.coords, cfg.dt * i))
 
 
 def test_csv_values_carry_full_precision(advection_run):

@@ -71,8 +71,8 @@ def test_gram_schmidt_rejects_rank_deficient_columns():
 
 
 def test_identity_generator_leaves_basis_fixed(basis):
-    Qs = list(rotations(np.zeros((3, 6, 6)), dt=0.05))
-    assert len(Qs) == 4
+    Qs = rotations(np.eye(6), np.zeros((3, 6, 6)), dt=0.05)
+    assert Qs.shape == (3, 6, 6)
     for Q in Qs:
         assert np.array_equal(Q, np.eye(6))
     out = propagate_basis(basis, Qs[-1])
@@ -83,8 +83,8 @@ def test_identity_generator_leaves_basis_fixed(basis):
 def test_propagation_preserves_g_orthonormality(basis):
     G = basis.fem.mass
     M = random_skew(6, seed=3)
-    Qs = list(rotations(np.repeat(M[None], 40, axis=0), dt=0.02))
-    assert len(Qs) == 41
+    Qs = rotations(np.eye(6), np.repeat(M[None], 40, axis=0), dt=0.02)
+    assert Qs.shape == (40, 6, 6)
     for Q in Qs:
         assert np.abs(Q.T @ Q - np.eye(6)).max() < 1e-10
         B = propagate_basis(basis, Q).B
@@ -96,7 +96,7 @@ def test_cayley_step_is_second_order_in_dt(basis):
     M = random_skew(6, seed=11)
 
     def err(dt):
-        _, stepped = rotations(M[None], dt)
+        [stepped] = rotations(np.eye(6), M[None], dt)
         exact = orthonormalize_g(expm(dt * M))
         return np.abs(stepped - exact).max()
 
@@ -107,10 +107,29 @@ def test_cayley_step_is_second_order_in_dt(basis):
 def test_propagation_checks_generator_shape(basis):
     with pytest.raises(ValueError):
         propagate_basis(basis, np.eye(4))
-    with pytest.raises(ValueError):
-        next(rotations(np.zeros((2, 4, 5)), dt=0.01))
-    with pytest.raises(ValueError):
-        next(rotations(np.zeros((4, 4)), dt=0.01))
+
+
+def test_block_rotations_match_stepwise_gram_schmidt():
+    # one block from a rotated start, against a Cayley step followed by
+    # Gram-Schmidt at every step
+    dt, eye = 0.02, np.eye(6)
+    gens = np.array([random_skew(6, seed=s) for s in range(64)])
+    Q0 = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 6)))[0]
+    Qs = rotations(Q0, gens, dt)
+    Q = Q0
+    for M, got in zip(gens, Qs):
+        Q = orthonormalize_g(Q @ np.linalg.solve(eye - 0.5 * dt * M, eye + 0.5 * dt * M))
+        assert np.abs(got - Q).max() < 1e-13
+    # the block end seeds the next block orthonormal to roundoff
+    assert np.abs(Qs[-1].T @ Qs[-1] - eye).max() < 1e-15
+
+
+def test_rotation_off_orthonormal_raises():
+    # a symmetric part in the generator makes Cayley factors that are not rotations
+    M = random_skew(6, seed=8) + 1e-6 * np.eye(6)
+    with pytest.raises(InvariantError, match="Q\\^T Q - I"):
+        rotations(np.eye(6), np.repeat(M[None], 5, axis=0), dt=0.01)
+    rotations(np.eye(6), np.repeat(random_skew(6, seed=8)[None], 5, axis=0), dt=0.01)
 
 
 def test_transported_basis_off_g_orthonormal_raises(basis):
@@ -134,8 +153,9 @@ def test_soliton_reconstruction_squares_the_modes(basis):
     u = reconstruct_nodal(basis, coeffs, law="soliton")
     assert np.allclose(u, 2.0 * basis.B[:, 0] ** 2 + 0.5 * basis.B[:, 1] ** 2)
     # with a frame per level the modes are the columns of B Q[:, :p]
-    Qs = list(rotations(np.repeat(random_skew(6, seed=2)[None], 3, axis=0), dt=0.1))
-    frames = np.array([Q[:, :2] for Q in Qs])
+    gens = np.repeat(random_skew(6, seed=2)[None], 3, axis=0)
+    Qs = np.concatenate([np.eye(6)[None], rotations(np.eye(6), gens, dt=0.1)])
+    frames = Qs[:, :, :2]
     stack = reconstruct_nodal(basis, np.tile(coeffs, (4, 1)), "soliton", frames)
     for Q, row in zip(Qs, stack):
         turned = propagate_basis(basis, Q)
