@@ -17,8 +17,6 @@ from .mesh import (  # noqa: F401
     assemble_weighted_mass,
     build_structured_square_mesh,
     build_uniform_mesh_1d,
-    read_mesh,
-    write_mesh,
 )
 from .eigenbasis import (  # noqa: F401
     ChiSelection,
@@ -57,9 +55,6 @@ from .models import (  # noqa: F401
     FkppModel,
     KdvEigenModel,
     KdvSolitonModel,
-    gamma_advection,
-    gamma_fkpp,
-    gamma_kdv_eigen,
     soliton_coefficient_rhs,
 )
 from .reconstruct import (  # noqa: F401
@@ -70,7 +65,6 @@ from .reconstruct import (  # noqa: F401
     rotations,
 )
 from .reference import (  # noqa: F401
-    advection_exact,
     fkpp_reference,
     kdv_n_soliton,
     kdv_one_soliton,

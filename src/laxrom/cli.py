@@ -64,31 +64,25 @@ def main(argv=None) -> int:
         cfg.out_dir = "out"
 
     try:
-        if args.command == "run":
-            report = run_experiment(cfg)
-            for nm, msg in sorted(report.errors.items()):
-                print(f"error: N_M={nm}: {msg}", file=sys.stderr)
-            return 1 if report.errors else 0
-        if args.command == "sweep":
-            reports = run_chi_sweep(cfg)
-            bad = {
-                (chi, nm): msg
-                for chi, rep in reports.items()
-                for nm, msg in rep.errors.items()
+        if args.command in ("run", "frobenius"):
+            errors = (run_experiment(cfg).errors if args.command == "run"
+                      else compare_frobenius(cfg)[1])
+            failed = {f"N_M={nm}": msg for nm, msg in sorted(errors.items())}
+        elif args.command == "sweep":
+            failed = {
+                f"chi={chi:g} N_M={nm}": msg
+                for chi, rep in sorted(run_chi_sweep(cfg).items())
+                for nm, msg in sorted(rep.errors.items())
             }
-            for (chi, nm), msg in sorted(bad.items()):
-                print(f"error: chi={chi:g} N_M={nm}: {msg}", file=sys.stderr)
-            return 1 if bad else 0
-        if args.command == "scsa":
+        else:
             run_scsa(cfg)
-            return 0
-        if args.command == "frobenius":
-            compare_frobenius(cfg)
-            return 0
+            failed = {}
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
+    for where, msg in failed.items():
+        print(f"error: {where}: {msg}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

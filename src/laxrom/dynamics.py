@@ -233,14 +233,10 @@ def step_midpoint(state: ReducedState, model: EquationModel, cfg: SolverConfig):
 def _operator(root: ReducedBasis, kind: str) -> np.ndarray:
     """The operator ``kind`` (T, D or D3) of the basis, assembled on first use."""
     if kind not in root.operators:
-        if kind == "T":
-            op = assemble_T(root)
-        elif kind == "D":
-            op = assemble_D(root)
-        elif kind == "D3":
-            op = assemble_D3(root, root.potential, root.chi)
-        else:
+        assemblers = {"T": assemble_T, "D": assemble_D, "D3": assemble_D3}
+        if kind not in assemblers:
             raise ValueError(f"unknown auxiliary operator {kind!r}")
+        op = assemblers[kind](root)
         op.flags.writeable = False
         root.operators[kind] = op
     return root.operators[kind]

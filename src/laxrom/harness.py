@@ -449,6 +449,24 @@ def _run_one_nm(cfg, basis_full, model, u0, ref, nm, out_dir):
     return row, traj
 
 
+def _per_nm(nm_list, work):
+    """(results, {nm: message}) of work(nm) over nm_list; a failure does not stop the rest."""
+    results, errors = [], {}
+    for nm in nm_list:
+        try:
+            results.append(work(nm))
+        except Exception as exc:  # noqa: BLE001 - reported per N_M
+            errors[nm] = f"{type(exc).__name__}: {exc}"
+    return results, errors
+
+
+def _write_failures(out_dir: str, errors: dict) -> None:
+    if errors:
+        with open(os.path.join(out_dir, "failures.txt"), "w") as f:
+            for nm, msg in sorted(errors.items()):
+                f.write(f"N_M={nm}: {msg}\n")
+
+
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """Run one configured experiment over its nm_list and write its tables.
 
@@ -465,23 +483,14 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     log.info("[%s] %d dofs, %d steps, modes up to %d",
              cfg.problem, fem.n_active, n_steps, nm_max)
 
-    report = MetricsReport()
-    for nm in cfg.nm_list:
-        try:
-            report.rows.append(_run_one_nm(cfg, basis_full, model, u0, ref, nm, out_dir)[0])
-        except Exception as exc:  # noqa: BLE001 - reported per N_M
-            report.errors[nm] = f"{type(exc).__name__}: {exc}"
-
+    rows, errors = _per_nm(
+        cfg.nm_list, lambda nm: _run_one_nm(cfg, basis_full, model, u0, ref, nm, out_dir)[0])
     if out_dir is not None:
-        if report.rows:
-            _save_csv(out_dir, "table.csv", _TABLE_HEADER,
-                      np.array([astuple(r) for r in report.rows]))
+        if rows:
+            _save_csv(out_dir, "table.csv", _TABLE_HEADER, np.array([astuple(r) for r in rows]))
         _write_manifest(cfg, out_dir)
-        if report.errors:
-            with open(os.path.join(out_dir, "failures.txt"), "w") as f:
-                for nm, msg in sorted(report.errors.items()):
-                    f.write(f"N_M={nm}: {msg}\n")
-    return report
+        _write_failures(out_dir, errors)
+    return MetricsReport(rows, errors)
 
 
 def compare_frobenius(cfg: ExperimentConfig):
@@ -489,7 +498,8 @@ def compare_frobenius(cfg: ExperimentConfig):
 
     Runs the reduced dynamics (no reconstruction) at nm_ref and at every
     N_M in nm_list, and reports eps_M(t) = | ||M_N|| - ||M_ref|| | / ||M_ref||
-    aggregated in time.  Returns a list of (nm, mean, max) triples.
+    aggregated in time.  Returns (rows, errors): (nm, mean, max) triples and,
+    as in run_experiment, {nm: message}.  A failure at nm_ref fails the run.
     """
     if cfg.problem == "scsa":
         raise ValueError("frobenius comparison needs a dynamic problem")
@@ -498,20 +508,25 @@ def compare_frobenius(cfg: ExperimentConfig):
     ref = _trajectory(cfg, basis_full, model, u0, cfg.nm_ref)[1].frob
     if np.any(ref == 0.0):
         raise ValueError("reference residual norm vanishes; eps_M undefined")
-    rows = []
-    for nm in cfg.nm_list:
+
+    def compare(nm):
         _, traj = _trajectory(cfg, basis_full, model, u0, nm)
         series = np.abs(traj.frob - ref) / ref
-        rows.append((nm, float(np.mean(series)), float(np.max(series))))
-        log.info("[%s] N_M=%3d  mean eps_M=%.3e", cfg.problem, nm, rows[-1][1])
+        mean = float(np.mean(series))
+        log.info("[%s] N_M=%3d  mean eps_M=%.3e", cfg.problem, nm, mean)
         if out_dir is not None:
             t_half = 0.5 * (traj.times[:-1] + traj.times[1:])
             _save_csv(out_dir, f"eps_m_nm{nm:03d}.csv", "t_half,eps_m",
                       np.column_stack([t_half, series]))
+        return nm, mean, float(np.max(series))
+
+    rows, errors = _per_nm(cfg.nm_list, compare)
     if out_dir is not None:
-        _save_csv(out_dir, "frobenius.csv", "nm,mean_eps_m,max_eps_m", np.array(rows))
+        if rows:
+            _save_csv(out_dir, "frobenius.csv", "nm,mean_eps_m,max_eps_m", np.array(rows))
         _write_manifest(cfg, out_dir)
-    return rows
+        _write_failures(out_dir, errors)
+    return rows, errors
 
 
 def run_scsa(cfg: ExperimentConfig):

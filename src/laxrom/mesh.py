@@ -1,10 +1,10 @@
 """P1 finite element meshes and assembled operators.
 
-Uniform 1D intervals and 2D triangulations (structured square builder plus a
-small ASCII reader/writer for external meshes), with the mass, stiffness and
-convection matrices the rest of the package consumes.  Homogeneous Dirichlet
-conditions are imposed by row/column elimination so generalized eigenproblems
-stay symmetric; under Neumann every node is kept.
+Uniform 1D intervals and structured 2D triangulations of the unit square,
+with the mass, stiffness and convection matrices the rest of the package
+consumes.  Homogeneous Dirichlet conditions are imposed by row/column
+elimination so generalized eigenproblems stay symmetric; under Neumann every
+node is kept.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ __all__ = [
     "FemOperators",
     "build_uniform_mesh_1d",
     "build_structured_square_mesh",
-    "read_mesh",
-    "write_mesh",
     "assemble",
     "assemble_weighted_mass",
 ]
@@ -134,47 +132,6 @@ def build_structured_square_mesh(n_per_side: int) -> TriMesh:
     flags[idx[:, 0]] = 1
     flags[idx[:, -1]] = 1
     return TriMesh(vertices=vertices, triangles=triangles, boundary_flags=flags)
-
-
-def write_mesh(mesh: TriMesh, path) -> None:
-    """Write a triangulation in the plain ASCII format read_mesh expects."""
-    with open(path, "w") as f:
-        f.write(f"{mesh.n_nodes} {mesh.triangles.shape[0]}\n")
-        for (x, y), flag in zip(mesh.vertices, mesh.boundary_flags):
-            f.write(f"{x:.17g} {y:.17g} {int(flag)}\n")
-        for a, b, c in mesh.triangles:
-            f.write(f"{a} {b} {c}\n")
-
-
-def read_mesh(path) -> TriMesh:
-    """Read the ASCII triangulation format written by write_mesh.
-
-    First line: vertex count and triangle count.  Then one vertex per line
-    (x, y, boundary flag), then one triangle per line (three 0-based vertex
-    indices).  Triangles with negative signed area are reoriented.
-    """
-    with open(path) as f:
-        tokens = f.read().split()
-    if len(tokens) < 2:
-        raise ValueError(f"{path}: truncated mesh file")
-    nv, nt = int(tokens[0]), int(tokens[1])
-    need = 2 + 3 * nv + 3 * nt
-    if len(tokens) != need:
-        raise ValueError(f"{path}: expected {need} tokens, found {len(tokens)}")
-    vdata = np.array(tokens[2 : 2 + 3 * nv], dtype=float).reshape(nv, 3)
-    tris = np.array(tokens[2 + 3 * nv :], dtype=np.int64).reshape(nt, 3)
-    if tris.min() < 0 or tris.max() >= nv:
-        raise ValueError(f"{path}: triangle index out of range")
-    verts = vdata[:, :2]
-    p = verts[tris]
-    signed = 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    flip = signed < 0
-    tris[flip] = tris[flip][:, [0, 2, 1]]
-    return TriMesh(
-        vertices=verts,
-        triangles=tris,
-        boundary_flags=vdata[:, 2].astype(np.int64),
-    )
 
 
 @dataclass

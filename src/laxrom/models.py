@@ -21,33 +21,8 @@ __all__ = [
     "KdvEigenModel",
     "FkppModel",
     "KdvSolitonModel",
-    "gamma_advection",
-    "gamma_kdv_eigen",
-    "gamma_fkpp",
     "soliton_coefficient_rhs",
 ]
-
-
-def gamma_advection(beta: np.ndarray, D: np.ndarray, c: float) -> np.ndarray:
-    """Transport closure gamma = -c D beta for u_t + c u_x = 0."""
-    return -c * (D @ beta)
-
-
-def gamma_kdv_eigen(beta, lam, D, D3, chi: float) -> np.ndarray:
-    """Closure for u_t + 6 u u_x + u_xxx = 0 in the eigen expansion.
-
-    gamma_i = (3/chi) sum_j lambda_j D_ij beta_j - (1 - 3/chi) sum_j D3_ij beta_j
-    """
-    return (3.0 / chi) * (D @ (lam * beta)) - (1.0 - 3.0 / chi) * (D3 @ beta)
-
-
-def gamma_fkpp(beta, lam, Tp, chi: float, nu: float) -> np.ndarray:
-    """Closure for u_t - laplacian u = nu u(1 - u).
-
-    gamma_i = (nu - lambda_i) beta_i - (chi + nu) sum_jk T_ijk beta_j beta_k
-    """
-    quad = contract(Tp, beta) @ beta
-    return (nu - lam) * beta - (chi + nu) * quad
 
 
 def soliton_coefficient_rhs(alpha, Tp, M, gamma) -> np.ndarray:
@@ -73,9 +48,8 @@ def soliton_coefficient_rhs(alpha, Tp, M, gamma) -> np.ndarray:
 
 
 class EquationModel:
-    """Base class: name, required auxiliary matrices, closure hooks."""
+    """Base class: required auxiliary matrices, closure hooks."""
 
-    name = "generic"
     required_aux: tuple = ()
     coefficient_law = "standard"
 
@@ -92,14 +66,13 @@ class EquationModel:
 
 
 class AdvectionModel(EquationModel):
-    """u_t + c u_x = 0.
+    """u_t + c u_x = 0, with the transport closure gamma = -c D beta.
 
     With ``exact_m=True`` the basis is propagated with M = -c D (the known
     exact transport generator) instead of the spectral reconstruction; the
     coefficients then stay frozen and the modes advect rigidly.
     """
 
-    name = "advection"
     required_aux = ("D",)
 
     def __init__(self, c: float, exact_m: bool = False):
@@ -107,7 +80,7 @@ class AdvectionModel(EquationModel):
         self.exact_m = bool(exact_m)
 
     def gamma(self, coeffs, lam, Tp, aux):
-        return gamma_advection(coeffs, aux["D"], self.c)
+        return -self.c * (aux["D"] @ coeffs)
 
     def override_m(self, aux):
         if self.exact_m:
@@ -116,22 +89,27 @@ class AdvectionModel(EquationModel):
 
 
 class KdvEigenModel(EquationModel):
-    """u_t + 6 u u_x + u_xxx = 0, standard eigen expansion."""
+    """u_t + 6 u u_x + u_xxx = 0, standard eigen expansion, with the closure
 
-    name = "kdv_eigen"
+    gamma_i = (3/chi) sum_j lambda_j D_ij beta_j - (1 - 3/chi) sum_j D3_ij beta_j
+    """
+
     required_aux = ("D", "D3")
 
     def __init__(self, chi: float):
         self.chi = float(chi)
 
     def gamma(self, coeffs, lam, Tp, aux):
-        return gamma_kdv_eigen(coeffs, lam, aux["D"], aux["D3"], self.chi)
+        D, D3, chi = aux["D"], aux["D3"], self.chi
+        return (3.0 / chi) * (D @ (lam * coeffs)) - (1.0 - 3.0 / chi) * (D3 @ coeffs)
 
 
 class FkppModel(EquationModel):
-    """u_t - laplacian u = nu u (1 - u)."""
+    """u_t - laplacian u = nu u (1 - u), with the closure
 
-    name = "fkpp"
+    gamma_i = (nu - lambda_i) beta_i - (chi + nu) sum_jk T_ijk beta_j beta_k
+    """
+
     required_aux = ()
 
     def __init__(self, nu: float, chi: float):
@@ -139,7 +117,8 @@ class FkppModel(EquationModel):
         self.chi = float(chi)
 
     def gamma(self, coeffs, lam, Tp, aux):
-        return gamma_fkpp(coeffs, lam, Tp, self.chi, self.nu)
+        quad = contract(Tp, coeffs) @ coeffs
+        return (self.nu - lam) * coeffs - (self.chi + self.nu) * quad
 
 
 class KdvSolitonModel(EquationModel):
@@ -162,7 +141,6 @@ class KdvSolitonModel(EquationModel):
       overlap, unreliable through collisions.
     """
 
-    name = "kdv_soliton"
     required_aux = ("D",)
     coefficient_law = "soliton"
 

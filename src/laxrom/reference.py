@@ -1,9 +1,9 @@
 """Reference solutions the reduced model is measured against.
 
-Closed forms for advection and KdV solitons (one soliton directly, n
-solitons through Hirota's tau-function), and a Crank-Nicolson/Adams-Bashforth
-finite element integrator for the FKPP reaction-diffusion problem.  The
-closed forms broadcast x against t, so one call gives a block of time levels.
+Closed forms for KdV solitons (one soliton directly, n solitons through
+Hirota's tau-function), and a Crank-Nicolson/Adams-Bashforth finite element
+integrator for the FKPP reaction-diffusion problem.  The closed forms
+broadcast x against t, so one call gives a block of time levels.
 """
 
 from __future__ import annotations
@@ -13,32 +13,15 @@ import itertools
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .mesh import FemOperators, Mesh1D
-# not called here since the reaction is taken from quadrature without a
-# matrix, but kept as a module global: laxbench's tracer wraps it by this name
+from .mesh import FemOperators
+# unused here, but laxbench's tracer wraps this module global by name
 from .mesh import assemble_weighted_mass  # noqa: F401
 
 __all__ = [
-    "advection_exact",
     "kdv_one_soliton",
     "kdv_n_soliton",
     "fkpp_reference",
 ]
-
-
-def advection_exact(u0, c: float, t: float, mesh: Mesh1D) -> np.ndarray:
-    """Translated profile u0(x - c t) sampled at the mesh nodes.
-
-    ``u0`` may be a callable or a nodal vector on the same mesh; nodal data
-    is shifted by linear interpolation and taken as zero outside [a, b].
-    """
-    x = mesh.nodes - c * t
-    if callable(u0):
-        return np.asarray(u0(x), dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != mesh.nodes.shape:
-        raise ValueError("nodal u0 does not match the mesh")
-    return np.interp(x, mesh.nodes, u0, left=0.0, right=0.0)
 
 
 def _sech2(z: np.ndarray) -> np.ndarray:

@@ -123,32 +123,29 @@ def assemble_D(basis: ReducedBasis) -> np.ndarray:
     return basis.B.T @ (C @ basis.B)
 
 
-def assemble_D3(basis: ReducedBasis, u0_nodal: np.ndarray, chi: float) -> np.ndarray:
+def assemble_D3(basis: ReducedBasis) -> np.ndarray:
     """Third-derivative matrix D3_ij = <d3 phi_j/dx3, phi_i> (1D only).
 
     Third derivatives of P1 functions vanish elementwise, so the entry is
-    recovered from the eigenrelation -phi'' = (lambda + chi u0) phi:
+    recovered from the eigenrelation -phi'' = (lambda + chi u0) phi of the
+    basis's own potential u0 and weight chi:
 
         <phi_j''', phi_i> = lambda_j <phi_j', phi_i> + chi <(u0 phi_j)', phi_i>
 
-    integrating the potential term by parts onto exact quadrature.  The
-    basis must be the one built from (u0, chi); anything else is rejected.
+    integrating the potential term by parts onto exact quadrature.
     """
-    u0_nodal = np.asarray(u0_nodal, dtype=float)
-    if chi != basis.chi or not np.array_equal(u0_nodal, basis.potential):
-        raise ValueError("basis was not built from the supplied (u0, chi)")
     qw, values, deriv = basis.fem.quadrature()
     if deriv is None:
         raise ValueError("third-derivative operator is only assembled on 1D meshes")
     D = assemble_D(basis)
-    uq = values @ u0_nodal
+    uq = values @ basis.potential
     # <phi_j''', phi_i> = -lambda_j D_ij - chi <(u0 phi_j)', phi_i>
     #                   = lambda_j D_ji + chi <u0 phi_j, phi_i'>
     # (skewness of D and vanishing boundary terms)
     Bq = values @ basis.B
     dBq = deriv @ basis.B
     E = (dBq * (qw * uq)[:, None]).T @ Bq
-    return D.T * basis.lam[None, :] + chi * E
+    return D.T * basis.lam[None, :] + basis.chi * E
 
 
 def bracket3(M: np.ndarray, Tp: np.ndarray) -> np.ndarray:

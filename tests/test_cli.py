@@ -4,11 +4,12 @@ import importlib.util
 import logging
 import os
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from laxrom import harness
+from laxrom import FixedPointError, harness
 from laxrom.cli import build_parser, main
 
 ADVECTION_INI = """
@@ -185,7 +186,7 @@ n_modes_cap = 10
 
 def test_frobenius_subcommand(advection_ini, tmp_path):
     # reuse the advection config but compare against a small reference count
-    text = open(advection_ini).read() + "\n"
+    text = Path(advection_ini).read_text() + "\n"
     path = tmp_path / "frob.ini"
     path.write_text(text.replace("nm_list = 4 6", "nm_list = 4 6\nnm_ref = 8"))
     out = str(tmp_path / "out")
@@ -195,8 +196,43 @@ def test_frobenius_subcommand(advection_ini, tmp_path):
     assert rows[0, 1] >= rows[1, 1] >= 0.0
 
 
+def _failing_at(monkeypatch, bad_nm):
+    """Make harness.run raise a FixedPointError for bad_nm modes only."""
+    inner = harness.run
+
+    def run(basis, *args):
+        if basis.n_modes == bad_nm:
+            raise FixedPointError(f"N_M={bad_nm} step 3 at t=0.1: midpoint iteration diverged")
+        return inner(basis, *args)
+    monkeypatch.setattr(harness, "run", run)
+
+
+def test_frobenius_records_a_failing_mode_count_and_goes_on(advection_ini, tmp_path,
+                                                             monkeypatch, capsys):
+    path = tmp_path / "frob.ini"
+    path.write_text(Path(advection_ini).read_text().replace(
+        "nm_list = 4 6", "nm_list = 6 4 5\nnm_ref = 8"))
+    _failing_at(monkeypatch, 4)
+    out = tmp_path / "out"
+    assert main(["frobenius", str(path), "--out", str(out)]) == 1
+    msg = "FixedPointError: N_M=4 step 3 at t=0.1: midpoint iteration diverged"
+    assert capsys.readouterr().err == f"error: N_M=4: {msg}\n"
+    rows = np.loadtxt(out / "frobenius.csv", delimiter=",", skiprows=1)
+    assert rows[:, 0].tolist() == [6, 5]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "eps_m_nm005.csv", "eps_m_nm006.csv", "failures.txt", "frobenius.csv", "manifest.txt"]
+    assert (out / "failures.txt").read_text() == f"N_M=4: {msg}\n"
+
+    # a failure at nm_ref is a set-up failure: nothing is written
+    _failing_at(monkeypatch, 8)
+    out = tmp_path / "ref"
+    assert main(["frobenius", str(path), "--out", str(out)]) == 1
+    assert "N_M=8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_subcommand(advection_ini, tmp_path):
-    text = open(advection_ini).read() + "\n[sweep]\nchi_grid = 40 80\n"
+    text = Path(advection_ini).read_text() + "\n[sweep]\nchi_grid = 40 80\n"
     path = tmp_path / "sweep.ini"
     path.write_text(text)
     out = str(tmp_path / "out")

@@ -325,11 +325,7 @@ def _fkpp_2d():
     return solve_schrodinger_eig(fem, u0, 25.0, 12), FkppModel(nu=50.0, chi=25.0)
 
 
-_ASSEMBLE = {
-    "T": assemble_T,
-    "D": assemble_D,
-    "D3": lambda basis: assemble_D3(basis, basis.potential, basis.chi),
-}
+_ASSEMBLE = {"T": assemble_T, "D": assemble_D, "D3": assemble_D3}
 
 
 @pytest.mark.parametrize("case", [_kdv_eigen_1d, _fkpp_2d], ids=["kdv_eigen_1d", "fkpp_2d"])

@@ -3,6 +3,7 @@
 import configparser
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,7 +239,7 @@ def test_experiment_writes_tables_and_snapshots(advection_run):
 
 def test_experiment_manifest_records_config(advection_run):
     cfg, _ = advection_run
-    text = open(os.path.join(cfg.out_dir, "manifest.txt")).read()
+    text = Path(cfg.out_dir, "manifest.txt").read_text()
     assert "problem = advection" in text
     assert "numpy =" in text and "laxrom =" in text
 
@@ -253,7 +254,7 @@ def test_repeated_runs_are_bit_identical(tmp_path):
         cfg.nm_list = (5,)
         cfg.out_dir = str(tmp_path / name)
         run_experiment(cfg)
-        outputs.append(open(os.path.join(cfg.out_dir, "errors_nm005.csv")).read())
+        outputs.append(Path(cfg.out_dir, "errors_nm005.csv").read_text())
     assert outputs[0] == outputs[1]
 
 
@@ -270,7 +271,7 @@ def test_failures_are_recorded_per_mode_count(tmp_path):
     assert set(report.errors) == {4, 6}
     assert all("FixedPointError" in msg for msg in report.errors.values())
     assert report.rows == []
-    failures = open(os.path.join(cfg.out_dir, "failures.txt")).read()
+    failures = Path(cfg.out_dir, "failures.txt").read_text()
     assert "N_M=4" in failures and "N_M=6" in failures
 
 
@@ -293,7 +294,7 @@ def test_failures_record_a_basis_off_g_orthonormal(tmp_path, monkeypatch):
     assert report.rows == []
     for nm in (4, 5):
         assert report.errors[nm].startswith(f"InvariantError: N_M={nm}: ")
-    failures = open(os.path.join(cfg.out_dir, "failures.txt")).read()
+    failures = Path(cfg.out_dir, "failures.txt").read_text()
     assert "N_M=4: InvariantError" in failures and "N_M=5: InvariantError" in failures
 
 
@@ -377,7 +378,7 @@ def test_n_soliton_reference_blocks_are_bounded(monkeypatch):
 
 def test_csv_values_carry_full_precision(advection_run):
     cfg, report = advection_run
-    line = open(os.path.join(cfg.out_dir, "table.csv")).readlines()[1]
+    line = Path(cfg.out_dir, "table.csv").read_text().splitlines()[1]
     written = float(line.split(",")[1])
     assert written == report.rows[0].mean_eps_l2  # %.17g round-trips doubles
 
@@ -431,7 +432,8 @@ def test_frobenius_reference_against_itself_vanishes(tmp_path):
     cfg.nm_list = (4, 8)
     cfg.nm_ref = 8
     cfg.out_dir = str(tmp_path)
-    rows = compare_frobenius(cfg)
+    rows, errors = compare_frobenius(cfg)
+    assert errors == {}
     by_nm = {nm: (mean, mx) for nm, mean, mx in rows}
     assert by_nm[8] == (0.0, 0.0)
     assert by_nm[4][0] > 0.0

@@ -10,8 +10,6 @@ from laxrom import (
     assemble_weighted_mass,
     build_structured_square_mesh,
     build_uniform_mesh_1d,
-    read_mesh,
-    write_mesh,
 )
 from laxrom.mesh import Mesh1D, TriMesh
 
@@ -156,39 +154,6 @@ def test_degenerate_elements_rejected():
                    boundary_flags=np.ones(3, dtype=np.int64))
     with pytest.raises(AssemblyError):
         assemble(flat, "neumann")
-
-
-def test_mesh_roundtrip(tmp_path):
-    mesh = build_structured_square_mesh(6)
-    path = tmp_path / "square.mesh"
-    write_mesh(mesh, path)
-    back = read_mesh(path)
-    assert np.array_equal(back.vertices, mesh.vertices)
-    assert np.array_equal(back.triangles, mesh.triangles)
-    assert np.array_equal(back.boundary_flags, mesh.boundary_flags)
-
-
-def test_read_mesh_reorients_clockwise_triangles(tmp_path):
-    path = tmp_path / "cw.mesh"
-    path.write_text(
-        "3 1\n0.0 0.0 1\n1.0 0.0 1\n0.0 1.0 1\n0 2 1\n"
-    )
-    mesh = read_mesh(path)
-    p = mesh.vertices[mesh.triangles[0]]
-    e1, e2 = p[1] - p[0], p[2] - p[0]
-    area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
-    assert area > 0
-
-
-def test_read_mesh_rejects_bad_files(tmp_path):
-    p1 = tmp_path / "short.mesh"
-    p1.write_text("4 1\n0 0 1\n")
-    with pytest.raises(ValueError):
-        read_mesh(p1)
-    p2 = tmp_path / "badidx.mesh"
-    p2.write_text("3 1\n0 0 1\n1 0 1\n0 1 1\n0 1 7\n")
-    with pytest.raises(ValueError):
-        read_mesh(p2)
 
 
 def test_quadrature_integrates_cubics_exactly_1d():

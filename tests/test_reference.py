@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from laxrom import (
-    advection_exact,
     assemble,
     assemble_weighted_mass,
     build_structured_square_mesh,
@@ -14,18 +13,6 @@ from laxrom import (
     kdv_one_soliton,
     reference,
 )
-
-
-def test_advection_translates_callable_and_nodal():
-    mesh = build_uniform_mesh_1d(0.0, 1.0, 201)
-    f = lambda x: np.exp(-250.0 * (x - 0.25) ** 2)
-    u = advection_exact(f, 0.5, 0.6, mesh)
-    np.testing.assert_allclose(u, f(mesh.nodes - 0.3))
-    # nodal input: same translation up to interpolation error
-    u2 = advection_exact(f(mesh.nodes), 0.5, 0.2, mesh)
-    assert np.abs(u2 - f(mesh.nodes - 0.1)).max() < 5e-3
-    with pytest.raises(ValueError):
-        advection_exact(np.zeros(7), 0.5, 0.1, mesh)
 
 
 def test_one_soliton_profile_and_speed():

@@ -125,15 +125,8 @@ def test_third_derivative_matrix_oracle(basis):
     uq = np.interp(pts, nodes, fem.embed(basis.potential))
     w = wts[:, None] * (basis.lam[None, :] + basis.chi * uq[:, None]) * P
     oracle = np.einsum("qj,qi->ij", w, dP)
-    D3 = assemble_D3(basis, basis.potential, basis.chi)
+    D3 = assemble_D3(basis)
     assert np.abs(D3 - oracle).max() < 1e-9
-
-
-def test_third_derivative_rejects_foreign_potential(basis):
-    with pytest.raises(ValueError):
-        assemble_D3(basis, np.zeros_like(basis.potential), basis.chi)
-    with pytest.raises(ValueError):
-        assemble_D3(basis, basis.potential, basis.chi + 1.0)
 
 
 def test_bracket3_preserves_symmetry():
