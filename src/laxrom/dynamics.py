@@ -28,7 +28,7 @@ shared without copying.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -114,9 +114,13 @@ class StateLayout:
         coeffs, lam, t, aux = self.views(y)
         return coeffs, lam, t[self._pairs], aux
 
-
-def _pack(*fields) -> np.ndarray:
-    return np.concatenate([np.ravel(a) for a in fields])
+    def pack(self, *fields) -> np.ndarray:
+        """The flat vector holding ``fields`` in layout order, each written
+        into its slice of one new array."""
+        y = np.empty(self._slices[-1].stop)
+        for s, a in zip(self._slices, fields):
+            y[s] = np.ravel(a)
+        return y
 
 
 @dataclass
@@ -146,6 +150,14 @@ class ReducedState:
         return T
 
 
+@lru_cache(maxsize=1)  # a trajectory keeps one mode count
+def _strict_upper(n: int) -> np.ndarray:
+    """Read-only (n, n) mask of the entries above the diagonal."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
 def build_M(lam, theta, chi: float, tol_deg: float = 1e-8) -> np.ndarray:
     """Basis-rotation generator from the non-isospectral compatibility relation.
 
@@ -157,7 +169,8 @@ def build_M(lam, theta, chi: float, tol_deg: float = 1e-8) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     denom = lam[:, None] - lam[None, :]
     ok = np.abs(denom) > tol_deg * (1.0 + np.abs(lam))[:, None]
-    U = np.triu(np.divide(chi * theta, denom, out=np.zeros_like(denom), where=ok), 1)
+    ok &= _strict_upper(lam.size)
+    U = np.divide(chi * theta, denom, out=np.zeros_like(denom), where=ok)
     return U - U.T
 
 
@@ -186,7 +199,7 @@ def _rhs(y: np.ndarray, layout: StateLayout, model: EquationModel, cfg: SolverCo
     """Flat right-hand side of the reduced system at y."""
     coeffs, lam, Tp, aux = fields = layout.split(y)
     gamma, theta, M = _generator(fields, model, cfg)
-    return _pack(
+    return layout.pack(
         model.coeff_rhs(coeffs, lam, Tp, M, aux, gamma),
         -cfg.chi * theta.diagonal(),
         bracket3(M, Tp),
@@ -257,7 +270,7 @@ def initial_state(basis: ReducedBasis, coeffs0: np.ndarray, model: EquationModel
     aux = [_operator(root, kind)[:n, :n] for kind in model.required_aux]
     T = _operator(root, "T")[:n, :n, :n]
     layout = StateLayout(coeffs0.size, n, model.required_aux)
-    y = _pack(coeffs0, basis.lam, pack_symmetric(T), *aux)
+    y = layout.pack(coeffs0, basis.lam, pack_symmetric(T), *aux)
     return ReducedState(y, 0.0, layout)
 
 

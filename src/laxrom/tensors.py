@@ -96,22 +96,35 @@ def contract(Tp: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v @ Tp)[symmetric_index(Tp.shape[0]).pair]
 
 
+# quadrature points sampled together in ``assemble_T``
+_QUAD_BLOCK = 512
+
+
 def assemble_T(basis: ReducedBasis) -> np.ndarray:
     """Symmetric tensor T_ijk = integral phi_i phi_j phi_k dx.
 
     Evaluated by sampling the modes at the element quadrature points (the
-    rule is exact for the piecewise-cubic product) and contracting one mode
-    index at a time.  The entries with i <= j <= k are kept and the rest
-    filled from them, so the result is exactly symmetric and
+    rule is exact for the piecewise-cubic product), _QUAD_BLOCK points at a
+    time.  Each block adds sum_q w_q phi_i phi_j phi_k over its points to
+    the pair matrix Tp[i, pair(j, k)], for the n(n+1)/2 pairs j <= k only:
+    one product per j, over the contiguous columns of the pairs (j, k >= j).
+    Beyond Tp, only a (block, n) array is live, never one over all points.
+    The entries with i <= j <= k are kept and the rest filled from them, so
+    the result is exactly symmetric and
     ``unpack_symmetric(pack_symmetric(T), n)`` reproduces it bit for bit.
     """
     qw, values, _ = basis.fem.quadrature()
-    P = values @ basis.B  # (n_quad, n_modes)
     n = basis.n_modes
-    T = np.empty((n, n, n))
-    Pw = P * qw[:, None]
-    for k in range(n):
-        T[:, :, k] = (Pw * P[:, [k]]).T @ P
+    pair = symmetric_index(n).pair
+    Tp = np.zeros((n, n * (n + 1) // 2))
+    for start in range(0, qw.size, _QUAD_BLOCK):
+        block = slice(start, start + _QUAD_BLOCK)
+        P = values[block] @ basis.B  # (block points, n_modes)
+        Pw = (P * qw[block, None]).T
+        for j in range(n):
+            a = pair[j, j]
+            Tp[:, a:a + n - j] += Pw @ (P[:, j:] * P[:, j, None])
+    T = Tp[:, pair]
     return unpack_symmetric(pack_symmetric(T), n)
 
 

@@ -69,6 +69,32 @@ def test_generator_degenerate_pairs_masked():
     assert M[0, 2] != 0.0
 
 
+def _build_M_triu(lam, theta, chi, tol_deg):
+    """build_M's formula with an explicit np.triu of the quotients."""
+    denom = lam[:, None] - lam[None, :]
+    ok = np.abs(denom) > tol_deg * (1.0 + np.abs(lam))[:, None]
+    U = np.triu(np.divide(chi * theta, denom, out=np.zeros_like(denom), where=ok), 1)
+    return U - U.T
+
+
+def test_generator_bitwise_equals_triu_formula():
+    # random spectra with near-degenerate pairs that tol_deg masks, and
+    # Theta entries of both signed zeros, over several mode counts (the
+    # n = 7 repeat comes after the mask cache has moved on)
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 12, 7):
+        lam = np.sort(rng.uniform(-40.0, 40.0, size=n))
+        lam[1::3] = lam[0::3][: lam[1::3].size] * (1.0 + 1e-10)
+        theta = rng.standard_normal((n, n))
+        theta = theta + theta.T
+        theta[rng.random((n, n)) < 0.2] = 0.0
+        theta[rng.random((n, n)) < 0.2] = -0.0
+        for chi, tol_deg in ((25.0, 1e-8), (-3.0, 2e-3)):
+            M = build_M(lam, theta, chi, tol_deg)
+            oracle = _build_M_triu(lam, theta, chi, tol_deg)
+            assert M.tobytes() == oracle.tobytes()
+
+
 def test_indicators():
     M = np.array([[0.0, 2.0], [-2.0, 0.0]])
     assert frobenius_norm_sq(M) == pytest.approx(8.0)

@@ -1,5 +1,6 @@
 """Reduced operators: interaction tensor, derivative matrices, brackets."""
 
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -11,6 +12,7 @@ from laxrom import (
     assemble_D3,
     assemble_T,
     bracket3,
+    build_structured_square_mesh,
     build_uniform_mesh_1d,
     commutator,
     contract,
@@ -19,6 +21,7 @@ from laxrom import (
     symmetric_index,
     unpack_symmetric,
 )
+from laxrom import tensors
 
 
 @pytest.fixture(scope="module")
@@ -52,10 +55,54 @@ def test_interaction_tensor_matches_direct_quadrature(basis):
     assert np.abs(T - oracle).max() < 1e-10
 
 
+def _square_basis(n_per_side, n_modes):
+    fem = assemble(build_structured_square_mesh(n_per_side), "neumann")
+    x, y = fem.coords.T
+    u0 = np.exp(-20 * ((x - 0.4) ** 2 + (y - 0.3) ** 2))
+    return solve_schrodinger_eig(fem, u0, 25.0, n_modes)
+
+
+@pytest.fixture(scope="module")
+def basis_2d():
+    return _square_basis(12, 9)
+
+
+@pytest.mark.parametrize("which", ["basis", "basis_2d"])
+def test_interaction_tensor_matches_einsum_over_all_points(which, request):
+    # the 1D basis has fewer quadrature points than one block; the 2D one
+    # spans two, the second partial
+    basis = request.getfixturevalue(which)
+    qw, values, _ = basis.fem.quadrature()
+    if which == "basis":
+        assert qw.size < tensors._QUAD_BLOCK
+    else:
+        assert tensors._QUAD_BLOCK < qw.size and qw.size % tensors._QUAD_BLOCK
+    P = values @ basis.B
+    oracle = np.einsum("q,qi,qj,qk->ijk", qw, P, P, P)
+    T = assemble_T(basis)
+    assert np.abs(T - oracle).max() < 1e-13 * np.abs(oracle).max()
+    for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1)):
+        assert np.array_equal(T, T.transpose(perm))
+
+
 def test_interaction_tensor_fully_symmetric(basis):
     T = assemble_T(basis)
     for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1)):
         assert np.array_equal(T, T.transpose(perm))
+
+
+def test_interaction_tensor_holds_no_array_over_all_points():
+    # blocks of quadrature points bound the assembly's memory: its traced
+    # peak stays below one (quadrature points x modes) float array
+    basis = _square_basis(40, 20)
+    qw = basis.fem.quadrature()[0]
+    tracemalloc.start()
+    try:
+        assemble_T(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < qw.size * basis.n_modes * 8
 
 
 def _symmetric(n, seed):
