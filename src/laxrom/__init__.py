@@ -55,7 +55,6 @@ from .models import (  # noqa: F401
     FkppModel,
     KdvEigenModel,
     KdvSolitonModel,
-    soliton_coefficient_rhs,
 )
 from .reconstruct import (  # noqa: F401
     InvariantError,

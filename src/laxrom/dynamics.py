@@ -200,7 +200,7 @@ def _rhs(y: np.ndarray, layout: StateLayout, model: EquationModel, cfg: SolverCo
     coeffs, lam, Tp, aux = fields = layout.split(y)
     gamma, theta, M = _generator(fields, model, cfg)
     return layout.pack(
-        model.coeff_rhs(coeffs, lam, Tp, M, aux, gamma),
+        model.coeff_rhs(coeffs, M, gamma),
         -cfg.chi * theta.diagonal(),
         bracket3(M, Tp),
         *(commutator(X, M) for X in aux.values()),

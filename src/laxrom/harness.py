@@ -79,7 +79,6 @@ class ExperimentConfig:
     x0: float = 0.0
     c_scatter: tuple | None = None
     k_scatter: tuple | None = None
-    amplitude_law: str = "frozen"
     # signal analysis
     signal: str = "double_gaussian"
     chi_grid: tuple = ()
@@ -121,7 +120,7 @@ _SCHEMA = {
     "time": {"dt": float, "t_max": float},
     "solver": {"fp_tol": float, "fp_max_iters": int, "tol_deg": float},
     "model": {"c": float, "nu": float, "beta_speed": float, "x0": float,
-              "c_scatter": _floats, "k_scatter": _floats, "amplitude_law": str.strip},
+              "c_scatter": _floats, "k_scatter": _floats},
     "scsa": {"signal": str.strip, "chi_grid": _floats, "n_modes_cap": int,
              "methods": _names},
     "sweep": {"chi_grid": _floats},
@@ -173,6 +172,8 @@ def _check(cfg: ExperimentConfig) -> None:
         raise ValueError(f"bc must be {DIRICHLET} or {NEUMANN}, got {cfg.bc!r}")
     if not cfg.nm_list or min(cfg.nm_list) < 1:
         raise ValueError(f"nm_list entries must be at least 1, got {cfg.nm_list}")
+    if not cfg.fp_tol > 0.0:
+        raise ValueError(f"fp_tol must be positive, got {cfg.fp_tol:g}")
     if cfg.fp_max_iters < 1:
         raise ValueError(f"fp_max_iters must be at least 1, got {cfg.fp_max_iters}")
     chis = (cfg.chi,) + cfg.chi_grid
@@ -181,9 +182,6 @@ def _check(cfg: ExperimentConfig) -> None:
     off_one = [chi for chi in chis if chi != 1.0]
     if cfg.problem == "kdv_soliton" and off_one:
         raise ValueError(f"kdv_soliton needs chi = 1, got {off_one[0]:g}")
-    if cfg.amplitude_law not in KdvSolitonModel.AMPLITUDE_LAWS:
-        raise ValueError(f"amplitude_law must be one of "
-                         f"{KdvSolitonModel.AMPLITUDE_LAWS}, got {cfg.amplitude_law!r}")
     if not set(cfg.methods) <= set(METHODS) or len(set(cfg.methods)) < len(cfg.methods):
         raise ValueError(f"methods must be among {METHODS}, each once, got {cfg.methods}")
     if cfg.problem in ("kdv_eigen", "kdv_soliton"):
@@ -213,6 +211,8 @@ def check_frobenius(cfg: ExperimentConfig) -> None:
     """
     if cfg.problem == "scsa":
         raise ValueError("frobenius comparison needs a dynamic problem")
+    if cfg.nm_ref < 1:
+        raise ValueError(f"nm_ref must be at least 1, got {cfg.nm_ref}")
     dofs = _build_space(cfg).n_active
     if cfg.nm_ref > dofs:
         raise ValueError(f"nm_ref = {cfg.nm_ref} modes requested from a mesh of {dofs} dofs")
@@ -322,7 +322,7 @@ def _make_model(cfg: ExperimentConfig, basis_full):
         n_neg = int(np.count_nonzero(basis_full.lam < -cfg.tol_deg))
         if n_neg == 0:
             raise ValueError("no bound state: soliton expansion is empty")
-        return KdvSolitonModel(n_neg, cfg.amplitude_law)
+        return KdvSolitonModel(n_neg)
     if cfg.problem == "fkpp":
         return FkppModel(cfg.nu, cfg.chi)
     raise ValueError(f"problem {cfg.problem!r} has no dynamic model")

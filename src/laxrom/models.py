@@ -1,9 +1,9 @@
 """Equation-specific closures for the reduced dynamics.
 
 Each model supplies gamma, the expansion of N(u) - its linear transport or
-reaction right-hand side - on the current modes, plus (for the soliton
-variant) its own coefficient evolution law.  The generic coefficient law
-beta' = gamma - M beta lives in the base class.
+reaction right-hand side - on the current modes.  The generic coefficient
+law beta' = gamma - M beta lives in the base class; the soliton variant
+holds its amplitudes constant instead.
 
 The interaction tensor reaches the models as its pair matrix Tp,
 Tp[l, pair(j, k)] = T_ljk (``tensors.SymmetricIndex``).
@@ -21,30 +21,7 @@ __all__ = [
     "KdvEigenModel",
     "FkppModel",
     "KdvSolitonModel",
-    "soliton_coefficient_rhs",
 ]
-
-
-def soliton_coefficient_rhs(alpha, Tp, M, gamma) -> np.ndarray:
-    """Evolution of the squared-mode amplitudes alpha (first len(alpha) modes).
-
-    Differentiating u = sum_j alpha_j phi_j^2 in time and matching it against
-    the flow term row by row gives the overdetermined linear system
-
-        sum_j T_ijj alpha_j' = gamma_i - 2 sum_{j,m} M_mj T_ijm alpha_j
-
-    over all modes i, solved here in the least-squares sense.  Restricting the
-    rows to the soliton block and dropping the T weights would decouple the
-    amplitudes only while the humps stay separated; the projected form keeps
-    them constant (up to truncation) through collisions as well.
-    """
-    p = alpha.size
-    pair = symmetric_index(Tp.shape[0]).pair
-    S = Tp[:, pair.diagonal()[:p]]  # T_ijj
-    C = np.einsum("ijm,mj->ij", Tp[:, pair[:p]], M[:, :p])
-    rhs = gamma - 2.0 * (C @ alpha)
-    sol, *_ = np.linalg.lstsq(S, rhs, rcond=None)
-    return sol
 
 
 class EquationModel:
@@ -56,7 +33,7 @@ class EquationModel:
     def gamma(self, coeffs, lam, Tp, aux) -> np.ndarray:
         raise NotImplementedError
 
-    def coeff_rhs(self, coeffs, lam, Tp, M, aux, gamma) -> np.ndarray:
+    def coeff_rhs(self, coeffs, M, gamma) -> np.ndarray:
         """Default modal law beta' = gamma - M beta."""
         return gamma - M @ coeffs
 
@@ -128,31 +105,18 @@ class KdvSolitonModel(EquationModel):
     operator; only that leading block carries coefficients, while the full
     mode set still transports lambda, T and D.
 
-    ``amplitude_law`` selects how the amplitudes evolve:
-
-    - "frozen" (default): alpha_i = 4 kappa_i stays pinned at its initial
-      value.  For reflectionless data this is the exact scattering
-      invariant of the flow, so freezing adds no model error while the
-      dynamic identifications below inject truncation noise.
-    - "projected": least-squares identification against the projected flow
-      (:func:`soliton_coefficient_rhs`).
-    - "separated": per-mode law alpha_i' = -2 sum_j (M_ij - 4 lambda_j
-      D_ij) alpha_j over the soliton block; exact while the humps do not
-      overlap, unreliable through collisions.
+    The amplitudes alpha_i = 4 kappa_i are the bound-state scattering data.
+    The flow is isospectral, so they stay at their initial values; for
+    reflectionless data this is exact.
     """
 
     required_aux = ("D",)
     coefficient_law = "soliton"
 
-    AMPLITUDE_LAWS = ("frozen", "projected", "separated")
-
-    def __init__(self, n_soliton: int, amplitude_law: str = "frozen"):
+    def __init__(self, n_soliton: int):
         if n_soliton < 1:
             raise ValueError("need at least one soliton mode")
-        if amplitude_law not in self.AMPLITUDE_LAWS:
-            raise ValueError(f"amplitude_law must be one of {self.AMPLITUDE_LAWS}")
         self.n_soliton = int(n_soliton)
-        self.amplitude_law = amplitude_law
 
     def gamma(self, coeffs, lam, Tp, aux):
         # For u = sum_j alpha_j phi_j^2 the flow term collapses, via the
@@ -165,11 +129,6 @@ class KdvSolitonModel(EquationModel):
         tdiag = Tp[:, symmetric_index(Tp.shape[0]).pair.diagonal()[:p]]  # T_mjj
         return 4.0 * (D @ (tdiag @ (lam[:p] * coeffs)))
 
-    def coeff_rhs(self, coeffs, lam, Tp, M, aux, gamma):
-        if self.amplitude_law == "frozen":
-            return np.zeros_like(coeffs)
-        if self.amplitude_law == "projected":
-            return soliton_coefficient_rhs(coeffs, Tp, M, gamma)
-        p = self.n_soliton
-        block = M[:p, :p] - 4.0 * lam[None, :p] * aux["D"][:p, :p]
-        return -2.0 * (block @ coeffs)
+    def coeff_rhs(self, coeffs, M, gamma):
+        """Constant amplitudes: alpha' = 0."""
+        return np.zeros_like(coeffs)

@@ -89,8 +89,8 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
         ("run", ADVECTION_INI.replace("t_max = 0.25", "t_max = 0.26"), "not a multiple of dt"),
         ("run", ADVECTION_INI + "[solver]\ndamping = 0.5\n", "unknown key 'damping'"),
         ("run", soliton, "kdv_soliton needs chi = 1"),
-        ("run", soliton.replace("chi = 60", "chi = 1") + "amplitude_law = bogus\n",
-         "amplitude_law must be one of"),
+        ("run", soliton.replace("chi = 60", "chi = 1") + "amplitude_law = frozen\n",
+         "unknown key 'amplitude_law' in [model]"),
         ("scsa", scsa + "methods = eigen, fourier\n", "methods must be among"),
         ("run", ADVECTION_INI.replace("n_nodes = 81", "n_nodes = 81\nbc = periodic"),
          "bc must be"),
@@ -113,6 +113,10 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
         ("frobenius", ADVECTION_INI.replace("chi = 60", "chi = 60\nnm_ref = 100"),
          "nm_ref = 100 modes requested from a mesh of 79 dofs"),
         ("frobenius", scsa, "needs a dynamic problem"),
+        ("frobenius", ADVECTION_INI.replace("chi = 60", "chi = 60\nnm_ref = 0"),
+         "nm_ref must be at least 1, got 0"),
+        ("run", ADVECTION_INI + "[solver]\nfp_tol = 0\n", "fp_tol must be positive"),
+        ("run", ADVECTION_INI + "[solver]\nfp_tol = -1e-9\n", "fp_tol must be positive"),
         ("run", kdv3.replace("k_scatter = 1.0 1.5 1.75", "k_scatter = 1.0 1.5"),
          "c_scatter and k_scatter must be given together"),
         ("run", kdv3.replace("c_scatter = 0.05 0.15 10.0", "c_scatter = 0.05 -0.15 10.0"),

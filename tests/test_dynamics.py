@@ -260,8 +260,7 @@ _MODELS = {
     "advection_exact_m": AdvectionModel(0.5, exact_m=True),
     "kdv_eigen": KdvEigenModel(60.0),
     "fkpp": FkppModel(nu=10.0, chi=60.0),
-    **{f"kdv_soliton_{law}": KdvSolitonModel(2, amplitude_law=law)
-       for law in KdvSolitonModel.AMPLITUDE_LAWS},
+    "kdv_soliton_frozen": KdvSolitonModel(2),
 }
 
 
@@ -290,16 +289,8 @@ def _full_tensor_rhs(y, layout, model, cfg):
         M = build_M(lam, theta, cfg.chi, cfg.tol_deg)
     if model.coefficient_law == "standard":
         dcoeffs = gamma - M @ coeffs
-    elif model.amplitude_law == "frozen":
-        dcoeffs = np.zeros_like(coeffs)
-    elif model.amplitude_law == "projected":
-        p = coeffs.size
-        S = np.einsum("ijj->ij", T[:, :p, :p])
-        C = np.einsum("ijm,mj->ij", T[:, :p, :], M[:, :p])
-        dcoeffs = np.linalg.lstsq(S, gamma - 2.0 * C @ coeffs, rcond=None)[0]
     else:
-        p = coeffs.size
-        dcoeffs = -2.0 * (M[:p, :p] - 4.0 * lam[None, :p] * aux["D"][:p, :p]) @ coeffs
+        dcoeffs = np.zeros_like(coeffs)
     dT = (np.einsum("li,ljk->ijk", M, T)
           + np.einsum("lj,ilk->ijk", M, T)
           + np.einsum("lk,ijl->ijk", M, T))
@@ -372,6 +363,19 @@ def test_truncated_state_holds_leading_blocks(case):
             assert np.abs(got[kind] - lead).max() <= 1e-13 * scale, (kind, n)
             assert np.abs(got[kind] - own).max() <= 1e-13 * scale, (kind, n)
     assert set(basis_full.operators) == set(kinds)
+
+
+def test_soliton_run_keeps_amplitudes_bitwise():
+    # the squared-mode amplitudes never move: every level holds the initial
+    # scattering values bit for bit, while the spectrum does evolve
+    fem = assemble(build_uniform_mesh_1d(-5.0, 25.0, 201), "dirichlet")
+    u0 = kdv_one_soliton(4.0, 0.0, fem.coords, 0.0)
+    basis = solve_schrodinger_eig(fem, u0, 1.0, 8)
+    alpha0 = 4.0 * np.sqrt(-basis.lam[:1])
+    traj = run(basis, alpha0, KdvSolitonModel(1), SolverConfig(chi=1.0, dt=2e-3, t_max=0.2))
+    assert traj.coeffs.shape == (101, 1)
+    assert np.array_equal(traj.coeffs, np.broadcast_to(alpha0, traj.coeffs.shape))
+    assert not np.array_equal(traj.lambdas[-1], traj.lambdas[0])
 
 
 def test_config_rejects_nonmultiple_horizon():

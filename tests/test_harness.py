@@ -74,7 +74,6 @@ tol_deg = 1e-7
 [model]
 beta_speed = 4.0
 x0 = 0.0
-amplitude_law = separated
 """
 
 # every key ROUND_TRIP leaves at its default
@@ -122,7 +121,7 @@ def test_config_round_trip(tmp_path):
     assert cfg.nm_list == (26, 28, 30)
     assert cfg.dt == 2e-3 and cfg.t_max == 5.0
     assert cfg.fp_tol == 1e-10 and cfg.tol_deg == 1e-7
-    assert cfg.beta_speed == 4.0 and cfg.amplitude_law == "separated"
+    assert cfg.beta_speed == 4.0
     assert cfg.source_path == str(path)
     assert len(cfg.source_hash) == 64
 
@@ -135,6 +134,15 @@ def test_config_round_trip(tmp_path):
     assert cfg.c_scatter == (0.05, 0.15) and cfg.k_scatter == (1.0, 1.5)
     assert cfg.signal == "signal.csv" and cfg.chi_grid == (10.0, 20.5)
     assert cfg.n_modes_cap == 7 and cfg.methods == ("eigen",)
+
+
+PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+
+
+@pytest.mark.parametrize("path", PRESETS, ids=[p.stem for p in PRESETS])
+def test_shipped_preset_loads(path):
+    # every preset passes the strict parser and its range checks
+    assert load_config(path).source_path == str(path)
 
 
 def test_config_rejects_unknown_section(tmp_path):

@@ -18,7 +18,6 @@ from laxrom import (
     kdv_one_soliton,
     pack_symmetric,
     solve_schrodinger_eig,
-    soliton_coefficient_rhs,
     symmetric_index,
 )
 
@@ -90,54 +89,15 @@ def test_soliton_gamma_matches_projected_flow(soliton_basis):
 
 
 def test_single_soliton_amplitude_is_stationary(soliton_basis):
-    # one bound state: the separated law reduces to the (1,1) entries of M
-    # and D, which vanish by skewness, and the frozen law is zero by design
+    # the amplitudes are scattering invariants: their right-hand side is zero
     fem, u0, basis = soliton_basis
     alpha0 = 4.0 * np.sqrt(-basis.lam[:1])
-    for law in ("frozen", "separated"):
-        model = KdvSolitonModel(n_soliton=1, amplitude_law=law)
-        state = initial_state(basis, alpha0, model)
-        Tp = _pair_matrix(state.T)
-        gamma = model.gamma(state.coeffs, state.lam, Tp, state.aux)
-        M = build_M(state.lam, contract(Tp, gamma), chi=1.0)
-        rhs = model.coeff_rhs(state.coeffs, state.lam, Tp, M, state.aux, gamma)
-        assert np.abs(rhs).max() < 1e-14
-
-
-def test_soliton_model_law_selection(soliton_basis):
-    fem, u0, basis = soliton_basis
-    with pytest.raises(ValueError):
-        KdvSolitonModel(1, amplitude_law="exact")
-    model = KdvSolitonModel(1, amplitude_law="projected")
-    state = initial_state(basis, 4.0 * np.sqrt(-basis.lam[:1]), model)
+    model = KdvSolitonModel(n_soliton=1)
+    state = initial_state(basis, alpha0, model)
     Tp = _pair_matrix(state.T)
     gamma = model.gamma(state.coeffs, state.lam, Tp, state.aux)
     M = build_M(state.lam, contract(Tp, gamma), chi=1.0)
-    rhs = model.coeff_rhs(state.coeffs, state.lam, Tp, M, state.aux, gamma)
-    np.testing.assert_allclose(
-        rhs, soliton_coefficient_rhs(state.coeffs, Tp, M, gamma))
-
-
-def test_soliton_rhs_balances_rotation():
-    # manufactured check of the least-squares identification: with a single
-    # mode block, S alpha' = gamma - 2 C alpha must hold exactly when S is
-    # square and well conditioned
-    rng = np.random.default_rng(9)
-    n, p = 6, 2
-    T = rng.standard_normal((n, n, n))
-    T = T + T.transpose(0, 2, 1)
-    T = T + T.transpose(1, 0, 2) + T.transpose(2, 1, 0)
-    A = rng.standard_normal((n, n))
-    M = A - A.T
-    alpha = rng.standard_normal(p)
-    gamma = rng.standard_normal(n)
-    rhs = soliton_coefficient_rhs(alpha, _pair_matrix(T), M, gamma)
-    idx = np.arange(p)
-    S = T[:, idx, idx]
-    C = np.einsum("ijm,mj->ij", T[:, :p, :], M[:, :p])
-    resid = S @ rhs - (gamma - 2.0 * C @ alpha)
-    # lstsq residual must be orthogonal to the column space of S
-    assert np.abs(S.T @ resid).max() < 1e-10
+    assert np.array_equal(model.coeff_rhs(state.coeffs, M, gamma), np.zeros(1))
 
 
 def test_soliton_model_validates_mode_count():
