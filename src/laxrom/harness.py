@@ -184,6 +184,11 @@ def _check(cfg: ExperimentConfig) -> None:
         raise ValueError(f"kdv_soliton needs chi = 1, got {off_one[0]:g}")
     if not set(cfg.methods) <= set(METHODS) or len(set(cfg.methods)) < len(cfg.methods):
         raise ValueError(f"methods must be among {METHODS}, each once, got {cfg.methods}")
+    if cfg.problem == "scsa":
+        if not cfg.chi_grid:
+            raise ValueError("scsa needs a chi_grid")
+        if cfg.n_modes_cap < 1:
+            raise ValueError(f"n_modes_cap must be at least 1, got {cfg.n_modes_cap}")
     if cfg.problem in ("kdv_eigen", "kdv_soliton"):
         if cfg.c_scatter is not None or cfg.k_scatter is not None:
             c, k = cfg.c_scatter or (), cfg.k_scatter or ()

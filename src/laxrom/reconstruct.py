@@ -45,8 +45,8 @@ def orthonormalize_g(B: np.ndarray) -> np.ndarray:
     lost = np.flatnonzero(np.diag(L) <= 1e-6 * np.sqrt(np.diag(S)))
     if lost.size:
         raise np.linalg.LinAlgError(f"column {lost[0]} lost rank in Gram-Schmidt")
-    # numpy's solve, not scipy's solve_triangular: at n = 36 the latter
-    # wakes a second BLAS thread, which then spins for about 0.1 s
+    # numpy's solve, not scipy's solve_triangular: the two round differently,
+    # and swapping them moves the tables in their last digits
     return np.linalg.solve(L, B.T).T
 
 

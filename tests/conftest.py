@@ -1,3 +1,5 @@
+# first: importing laxrom pins BLAS to one thread before numpy loads
+import laxrom  # noqa: F401
 import pytest
 
 _ACCEPTANCE: list = []

@@ -13,6 +13,7 @@ cannot mask an actual improvement.
 """
 
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from laxrom import (
     rotations,
     run,
     run_experiment,
+    run_scsa,
     shift_nonnegative,
     solve_schrodinger_eig,
     soliton_expansion,
@@ -43,6 +45,8 @@ from laxrom import (
 from laxrom import dynamics, harness
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+STORED = Path(__file__).resolve().parent / "data"
+TABLE_GATE = 1e-9  # relative; a change that keeps the results stays inside it
 
 
 def preset(name):
@@ -424,3 +428,46 @@ def test_criterion_11_bound_state_counts(
         f"negative eigenvalue counts: one-soliton {model1.n_soliton}, "
         f"three-soliton {model3.n_soliton}",
     )
+
+
+# ---------------------------------------------------------------------------
+# the stored tables: every preset's numbers hold within TABLE_GATE
+
+# preset -> the fixture that ran it
+TABLE_FIXTURES = {
+    "advection": "advection_table",
+    "fkpp1d": "fkpp1d_table",
+    "fkpp2d_square": "fkpp2d_table",
+    "kdv1_eigen": "kdv1_eigen_table",
+    "kdv1_soliton": "kdv1_soliton_run",
+    "kdv3_eigen": "kdv3_eigen_table",
+    "kdv3_soliton": "kdv3_soliton_run",
+}
+
+
+def _gate(log, name, rows, stored_file):
+    stored = np.loadtxt(STORED / stored_file, delimiter=",", skiprows=1, ndmin=2)
+    rows = np.asarray(rows, dtype=float)
+    assert rows.shape == stored.shape
+    rel = np.abs(rows - stored) / np.abs(stored)  # stored entries are nonzero
+    worst = float(rel.max())
+    ok = worst <= TABLE_GATE
+    log.append(f"stored {name}  {'PASS' if ok else 'FAIL'}  "
+               f"max rel diff {worst:.1e} <= {TABLE_GATE:.0e}")
+    return ok
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FIXTURES))
+def test_table_matches_the_stored_one(name, request, acceptance_log):
+    result = request.getfixturevalue(TABLE_FIXTURES[name])
+    rows = [result[0]] if name.endswith("soliton") else result[1].rows
+    assert _gate(acceptance_log, name, [astuple(r) for r in rows], f"{name}_table.csv")
+
+
+def test_scsa_summary_matches_the_stored_one(tmp_path, acceptance_log):
+    cfg = preset("scsa_double_gaussian.ini")
+    cfg.out_dir = str(tmp_path)
+    run_scsa(cfg)
+    summary = np.loadtxt(tmp_path / "summary.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert _gate(acceptance_log, "scsa_double_gaussian", summary,
+                 "scsa_double_gaussian_summary.csv")

@@ -3,6 +3,8 @@
 import importlib.util
 import logging
 import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -11,6 +13,9 @@ import pytest
 
 from laxrom import FixedPointError, harness
 from laxrom.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 ADVECTION_INI = """
 [experiment]
@@ -54,6 +59,43 @@ def test_parser_rejects_threads_option(capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["run", "cfg.ini", "--threads", "2"])
     assert exc.value.code == 2
+
+
+def _child(args, blas_threads, tmp_path):
+    """Run ``python args`` from tmp_path with every BLAS variable at blas_threads."""
+    env = dict(os.environ, **dict.fromkeys(BLAS_VARS, str(blas_threads)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # importing laxrom pins BLAS to one thread, so the variables a shell
+    # exports cannot move the last digits of the tables
+    text = (ROOT / "configs" / "kdv1_eigen.ini").read_text()
+    (tmp_path / "kdv1.ini").write_text(
+        text.replace("nm_list = 26 28 30 32 34 36", "nm_list = 36")
+        .replace("t_max = 5.0", "t_max = 0.2"))
+    run = ["-m", "laxrom.cli", "run", "kdv1.ini", "--out"]
+    # numpy imported first has sized its pool before laxrom could set the variables
+    numpy_first = ["-c", "import sys, numpy; from laxrom.cli import main; "
+                   "sys.exit(main(sys.argv[1:]))", "run", "kdv1.ini", "--out"]
+    for args, threads, out in [(run, 1, "one"), (run, 2, "two"), (numpy_first, 2, "first")]:
+        _child(args + [out], threads, tmp_path)
+    names = sorted(os.listdir(tmp_path / "one"))
+    assert {"table.csv", "errors_nm036.csv", "mnorm_nm036.csv"} <= set(names)
+    for out in ("two", "first"):
+        assert sorted(os.listdir(tmp_path / out)) == names
+        for name in names:
+            same = (tmp_path / out / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+            assert same, f"{out}/{name} differs from the one-thread run"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_importing_laxrom_starts_no_blas_threads(tmp_path):
+    code = ("import os, laxrom, numpy as np; a = np.ones((300, 300)); a @ a; "
+            "print(len(os.listdir('/proc/self/task')))")
+    assert _child(["-c", code], 2, tmp_path).strip() == "1"
 
 
 def test_run_subcommand_writes_tables(advection_ini, tmp_path):
@@ -104,6 +146,8 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
         ("run", ADVECTION_INI + "[solver]\nfp_max_iters = 0\n",
          "fp_max_iters must be at least 1"),
         ("scsa", scsa + "n_modes_cap = 501\n", "501 modes requested from a mesh of 500 dofs"),
+        ("scsa", scsa + "n_modes_cap = 0\n", "n_modes_cap must be at least 1, got 0"),
+        ("scsa", scsa.replace("chi_grid = 50", "chi_grid ="), "scsa needs a chi_grid"),
         ("sweep", soliton.replace("chi = 60", "chi = 1") + "[sweep]\nchi_grid = 1 2\n",
          "kdv_soliton needs chi = 1, got 2"),
         ("scsa", scsa + "[sweep]\nchi_grid = 50\n", "chi_grid is set in more than one section"),
