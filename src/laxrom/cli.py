@@ -16,7 +16,7 @@ import logging
 import sys
 
 from .harness import (
-    check_frobenius,
+    check_command,
     compare_frobenius,
     load_config,
     run_chi_sweep,
@@ -53,8 +53,7 @@ def main(argv=None) -> int:
     logging.getLogger("laxrom").setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         cfg = load_config(args.config)
-        if args.command == "frobenius":
-            check_frobenius(cfg)
+        check_command(cfg, args.command)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ import configparser
 import hashlib
 import logging
 import os
+from collections import namedtuple
 from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
@@ -208,14 +209,20 @@ def _check(cfg: ExperimentConfig) -> None:
         raise ValueError(f"{n_max} modes requested from a mesh of {dofs} dofs")
 
 
-def check_frobenius(cfg: ExperimentConfig) -> None:
-    """What compare_frobenius needs beyond load_config (ValueError).
+def check_command(cfg: ExperimentConfig, command: str) -> None:
+    """What the subcommand ``command`` needs beyond load_config (ValueError).
 
-    Only frobenius reads nm_ref, so load_config cannot hold it to the mesh;
-    the command line calls this before it writes anything.
+    The command line calls this next to load_config, before it writes
+    anything.  Only frobenius reads nm_ref, so load_config cannot hold it
+    to the mesh.
     """
-    if cfg.problem == "scsa":
-        raise ValueError("frobenius comparison needs a dynamic problem")
+    if command != "scsa" and cfg.problem == "scsa":
+        raise ValueError(f"{command} needs a dynamic problem; "
+                         "scsa configs run with the scsa subcommand")
+    if command in ("sweep", "scsa") and not cfg.chi_grid:
+        raise ValueError(f"{command} needs a chi_grid")
+    if command != "frobenius":
+        return
     if cfg.nm_ref < 1:
         raise ValueError(f"nm_ref must be at least 1, got {cfg.nm_ref}")
     dofs = _build_space(cfg).n_active
@@ -283,6 +290,8 @@ def _exact(cfg: ExperimentConfig, x, t) -> np.ndarray:
     """Closed-form advection or KdV solution; x and t broadcast."""
     if cfg.problem == "advection":
         return np.exp(-250.0 * (x - cfg.c * t - 0.25) ** 2)
+    if cfg.problem not in ("kdv_eigen", "kdv_soliton"):
+        raise ValueError(f"problem {cfg.problem!r} has no dynamic model")
     if cfg.c_scatter is not None:
         return kdv_n_soliton(cfg.c_scatter, cfg.k_scatter, x, t)
     return kdv_one_soliton(cfg.beta_speed, cfg.x0, x, t)
@@ -297,23 +306,25 @@ def _initial_condition(cfg: ExperimentConfig, fem):
     return _exact(cfg, xy, 0.0)
 
 
-def _reference_series(cfg: ExperimentConfig, fem, u0, n_steps: int) -> np.ndarray:
-    """Reference nodal solution at every time level, rows = time.
+def _reference_blocks(cfg: ExperimentConfig, fem, u0, n_steps: int):
+    """(start, levels) blocks of _CHUNK levels of the reference nodal solution.
 
-    The closed forms are evaluated a block of levels at a time, a
-    (levels, 1) column of times against the row of nodes.  The n-soliton
-    form holds 2^n arrays of a block, so its blocks have _CHUNK x 8 / 2^n
-    levels; the others have _CHUNK.
+    A closed form is evaluated a block at a time, never stored whole; the
+    n-soliton form holds 2^n arrays of its input, so it fills a block
+    _CHUNK x 8 / 2^n levels at a time.  FKPP is integrated whole, then sliced.
     """
     if cfg.problem == "fkpp":
-        return fkpp_reference(fem, u0, cfg.nu, cfg.dt, n_steps)
+        ref = fkpp_reference(fem, u0, cfg.nu, cfg.dt, n_steps)
+        for start in range(0, n_steps + 1, _CHUNK):
+            yield start, ref[start:start + _CHUNK]
+        return
     size = _CHUNK if cfg.c_scatter is None else max(1, _CHUNK * 8 // 2 ** len(cfg.c_scatter))
     times = cfg.dt * np.arange(n_steps + 1)
-    out = np.empty((n_steps + 1, fem.n_active))
-    for start in range(0, n_steps + 1, size):
-        block = slice(start, start + size)
-        out[block] = _exact(cfg, fem.coords, times[block, None])
-    return out
+    for start in range(0, n_steps + 1, _CHUNK):
+        block = times[start:start + _CHUNK, None]
+        parts = [_exact(cfg, fem.coords, block[sub:sub + size])
+                 for sub in range(0, len(block), size)]
+        yield start, parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _make_model(cfg: ExperimentConfig, basis_full):
@@ -355,19 +366,26 @@ def _trajectory(cfg: ExperimentConfig, basis_full, model, u0, nm: int):
 # output helpers: the only code that creates output directories
 
 
-def _save_csv(out_dir: str, name: str, header: str, array) -> None:
-    """The bytes of np.savetxt(np.atleast_2d(array), fmt="%.17g",
-    delimiter=",", header=header, comments="") for a nonempty header,
-    formatted in one pass."""
-    a = np.atleast_2d(array)
+def _csv_rows(a: np.ndarray, end: str = "\n") -> str:
+    """The rows of 2D ``a`` in one pass: "%.17g" fields, commas, ``end``."""
     rows, cols = a.shape
-    body = (",".join(["%.17g"] * cols) + "\n") * rows % tuple(a.ravel().tolist())
+    return (",".join(["%.17g"] * cols) + end) * rows % tuple(a.ravel().tolist())
+
+
+def _write(out_dir: str, name: str, text: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, name), "w") as f:
-        f.write(header + "\n" + body)
+        f.write(text)
 
 
-def _write_manifest(cfg: ExperimentConfig, out_dir: str) -> None:
+def _save_csv(out_dir: str, name: str, header: str, array) -> None:
+    """The bytes of np.savetxt(np.atleast_2d(array), fmt="%.17g",
+    delimiter=",", header=header, comments="") for a nonempty header."""
+    _write(out_dir, name, header + "\n" + _csv_rows(np.atleast_2d(array)))
+
+
+def _write_manifest(cfg: ExperimentConfig, out_dir: str, errors: dict | None = None) -> None:
+    """manifest.txt, and failures.txt when ``errors`` names a failed N_M."""
     import scipy
 
     lines = [
@@ -378,19 +396,10 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: str) -> None:
         f"numpy = {np.__version__}",
         f"scipy = {scipy.__version__}",
     ]
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def _snapshot_header(fem) -> str:
-    return ("x,y,u_ref,u_rom" if fem.coords.ndim == 2 else "x,u_ref,u_rom")
-
-
-def _snapshot_rows(fem, u_ref, u_rom) -> np.ndarray:
-    xy = fem.coords
-    cols = [xy[:, 0], xy[:, 1]] if xy.ndim == 2 else [xy]
-    return np.column_stack(cols + [u_ref, u_rom])
+    _write(out_dir, "manifest.txt", "\n".join(lines) + "\n")
+    if errors:
+        _write(out_dir, "failures.txt",
+               "".join(f"N_M={nm}: {msg}\n" for nm, msg in sorted(errors.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -402,99 +411,107 @@ def _snapshot_rows(fem, u_ref, u_rom) -> np.ndarray:
 _CHUNK = 64
 
 
-def _error_series(basis, traj, law, ref, snap_indices):
-    """eps_L2 / amplitude error at every level; snapshots where requested.
-
-    The modes at level k are B_0 Q_k, and ``traj.frame`` holds each level
-    in the frame of B_0 (``dynamics.Trajectory``).  The levels are
-    reconstructed and scored a chunk at a time.  The end basis B_0 Q_n goes
-    through propagate_basis, which checks it G-orthonormal.
-    """
-    propagate_basis(basis, traj.rotation)
-    levels = traj.frame.shape[0]
-
-    eps = np.empty(levels)
-    amp = np.empty(levels)
-    snaps = {}
-    for start in range(0, levels, _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        if law == "standard":
-            u = reconstruct_nodal(basis, traj.frame[rows])
-        else:
-            u = reconstruct_nodal(basis, traj.coeffs[rows], law, traj.frame[rows])
-        eps[rows] = eps_l2(basis.fem, ref[rows], u)
-        amp[rows] = eps_amplitude(ref[rows], u)
-        snaps.update((i, u[i - start].copy()) for i in snap_indices if start <= i < start + len(u))
-    return eps, amp, snaps
+# what scoring keeps of a trajectory (dynamics.Trajectory): the modes at
+# level k are basis.B @ frame[k]; coeffs are kept for the soliton law only
+_Track = namedtuple("_Track", "basis frame coeffs times")
 
 
-def _run_one_nm(cfg, basis_full, model, u0, ref, nm, out_dir):
+def _track(cfg, basis_full, model, u0, nm, out_dir) -> _Track:
+    """Stage 1 for one N_M: the trajectory, the end basis checked, mnorm_nmXXX.csv."""
     basis, traj = _trajectory(cfg, basis_full, model, u0, nm)
-    n = traj.n_steps
-    snap_indices = sorted({0, n // 4, n // 2, n})
-    eps, amp, snaps = _error_series(basis, traj, model.coefficient_law, ref, snap_indices)
-
+    propagate_basis(basis, traj.rotation)
     if out_dir is not None:
-        _save_csv(out_dir, f"errors_nm{nm:03d}.csv", "t,eps_l2,eps_amp",
-                  np.column_stack([traj.times, eps, amp]))
         _save_csv(out_dir, f"mnorm_nm{nm:03d}.csv", "t_half,m_frob",
                   np.column_stack([0.5 * (traj.times[:-1] + traj.times[1:]), traj.frob]))
-        for i in snap_indices:
-            _save_csv(out_dir, f"snapshot_nm{nm:03d}_t{round(100 * i / n):03d}.csv",
-                      _snapshot_header(basis.fem), _snapshot_rows(basis.fem, ref[i], snaps[i]))
-    row = MetricsRow(
-        nm=nm,
-        mean_eps_l2=float(np.mean(eps)),
-        max_eps_l2=float(np.max(eps)),
-        eps_final=float(eps[-1]),
-        eps_amp=float(np.max(amp)),
-    )
+    soliton = model.coefficient_law == "soliton"
+    return _Track(basis, traj.frame, traj.coeffs if soliton else None, traj.times)
+
+
+def _score(cfg, fem, u0, tracks: dict, errors: dict, out_dir) -> dict:
+    """Stage 2: {nm: (eps_L2, amplitude error)} of the tracks at every level.
+
+    One pass over the reference: each block is computed once and scored for
+    every N_M without an error.  A snapshot's coordinates and u_ref are
+    formatted once, and each N_M's u_rom filled in.
+    """
+    n = cfg.solver().n_steps()
+    snap_levels = sorted({0, n // 4, n // 2, n}) if out_dir is not None else []
+    header = "x,y,u_ref,u_rom" if fem.coords.ndim == 2 else "x,u_ref,u_rom"
+    scores = {nm: (np.empty(n + 1), np.empty(n + 1)) for nm in tracks}
+
+    try:
+        for start, ref in _reference_blocks(cfg, fem, u0, n):
+            rows = slice(start, start + len(ref))
+            snaps = [i for i in snap_levels if rows.start <= i < rows.stop]
+
+            def score(nm):
+                basis, frame, coeffs, _ = tracks[nm]
+                u = (reconstruct_nodal(basis, frame[rows]) if coeffs is None
+                     else reconstruct_nodal(basis, coeffs[rows], "soliton", frame[rows]))
+                scores[nm][0][rows] = eps_l2(fem, ref, u)
+                scores[nm][1][rows] = eps_amplitude(ref, u)
+                return u[[i - start for i in snaps]]
+
+            u_snap = _per_nm(scores, score, errors)
+            # after the N_M loop, so the text never sits beside its temporaries
+            for j, i in enumerate(snaps):
+                text = _csv_rows(np.column_stack([fem.coords, ref[i - start]]), ",%%.17g\n")
+                _per_nm(u_snap, lambda nm: _write(
+                    out_dir, f"snapshot_nm{nm:03d}_t{round(100 * i / n):03d}.csv",
+                    header + "\n" + text % tuple(u_snap[nm][j].tolist())), errors)
+    except Exception as exc:  # noqa: BLE001 - the reference failed every N_M left
+        errors.update((nm, f"{type(exc).__name__}: {exc}") for nm in scores if nm not in errors)
+    return {nm: s for nm, s in scores.items() if nm not in errors}
+
+
+def _tabulate(cfg, nm, track: _Track, eps, amp, out_dir) -> MetricsRow:
+    """Stage 3 for one N_M: its error series file and table row."""
+    if out_dir is not None:
+        _save_csv(out_dir, f"errors_nm{nm:03d}.csv", "t,eps_l2,eps_amp",
+                  np.column_stack([track.times, eps, amp]))
+    row = MetricsRow(nm=nm, mean_eps_l2=float(np.mean(eps)), max_eps_l2=float(np.max(eps)),
+                     eps_final=float(eps[-1]), eps_amp=float(np.max(amp)))
     log.info("[%s] N_M=%3d  mean eps_L2=%.3e  max=%.3e  amp=%.3e",
              cfg.problem, nm, row.mean_eps_l2, row.max_eps_l2, row.eps_amp)
-    return row, traj
+    return row
 
 
-def _per_nm(nm_list, work):
-    """(results, {nm: message}) of work(nm) over nm_list; a failure does not stop the rest."""
-    results, errors = [], {}
-    for nm in nm_list:
+def _per_nm(nm_list, work, errors: dict) -> dict:
+    """{nm: work(nm)} over nm_list, skipping and recording failed N_M in errors."""
+    results = {}
+    for nm in [nm for nm in nm_list if nm not in errors]:
         try:
-            results.append(work(nm))
+            results[nm] = work(nm)
         except Exception as exc:  # noqa: BLE001 - reported per N_M
             errors[nm] = f"{type(exc).__name__}: {exc}"
-    return results, errors
-
-
-def _write_failures(out_dir: str, errors: dict) -> None:
-    if errors:
-        with open(os.path.join(out_dir, "failures.txt"), "w") as f:
-            for nm, msg in sorted(errors.items()):
-                f.write(f"N_M={nm}: {msg}\n")
+    return results
 
 
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """Run one configured experiment over its nm_list and write its tables.
 
+    Three stages: the reduced trajectory of every N_M (``_track``), one
+    pass over the reference that scores them all and writes the snapshots
+    (``_score``), then the error series and the tables (``_tabulate``).
     Per N_M failures are recorded in the report and do not stop the other
     mode counts.  Returns the metrics report (rows in nm_list order).
     """
-    if cfg.problem == "scsa":
-        raise ValueError("use run_scsa for static signal experiments")
     out_dir = cfg.out_dir
     nm_max = max(cfg.nm_list)
     fem, u0, basis_full, model = _setup(cfg, nm_max)
-    n_steps = cfg.solver().n_steps()
-    ref = _reference_series(cfg, fem, u0, n_steps)
     log.info("[%s] %d dofs, %d steps, modes up to %d",
-             cfg.problem, fem.n_active, n_steps, nm_max)
+             cfg.problem, fem.n_active, cfg.solver().n_steps(), nm_max)
 
-    rows, errors = _per_nm(
-        cfg.nm_list, lambda nm: _run_one_nm(cfg, basis_full, model, u0, ref, nm, out_dir)[0])
+    errors = {}
+    tracks = _per_nm(cfg.nm_list, lambda nm: _track(cfg, basis_full, model, u0, nm, out_dir),
+                     errors)
+    scores = _score(cfg, fem, u0, tracks, errors, out_dir)
+    rows = list(_per_nm(
+        scores, lambda nm: _tabulate(cfg, nm, tracks[nm], *scores[nm], out_dir), errors).values())
     if out_dir is not None:
         if rows:
             _save_csv(out_dir, "table.csv", _TABLE_HEADER, np.array([astuple(r) for r in rows]))
-        _write_manifest(cfg, out_dir)
-        _write_failures(out_dir, errors)
+        _write_manifest(cfg, out_dir, errors)
     return MetricsReport(rows, errors)
 
 
@@ -506,8 +523,6 @@ def compare_frobenius(cfg: ExperimentConfig):
     aggregated in time.  Returns (rows, errors): (nm, mean, max) triples and,
     as in run_experiment, {nm: message}.  A failure at nm_ref fails the run.
     """
-    if cfg.problem == "scsa":
-        raise ValueError("frobenius comparison needs a dynamic problem")
     out_dir = cfg.out_dir
     _, u0, basis_full, model = _setup(cfg, max(max(cfg.nm_list), cfg.nm_ref))
     ref = _trajectory(cfg, basis_full, model, u0, cfg.nm_ref)[1].frob
@@ -525,12 +540,12 @@ def compare_frobenius(cfg: ExperimentConfig):
                       np.column_stack([t_half, series]))
         return nm, mean, float(np.max(series))
 
-    rows, errors = _per_nm(cfg.nm_list, compare)
+    errors = {}
+    rows = list(_per_nm(cfg.nm_list, compare, errors).values())
     if out_dir is not None:
         if rows:
             _save_csv(out_dir, "frobenius.csv", "nm,mean_eps_m,max_eps_m", np.array(rows))
-        _write_manifest(cfg, out_dir)
-        _write_failures(out_dir, errors)
+        _write_manifest(cfg, out_dir, errors)
     return rows, errors
 
 
@@ -586,8 +601,6 @@ def run_chi_sweep(cfg: ExperimentConfig):
     Each chi runs in its own subdirectory of out_dir; the combined table
     (chi, nm, errors...) lands in sweep.csv.  Returns {chi: MetricsReport}.
     """
-    if cfg.problem == "scsa":
-        raise ValueError("use run_scsa for static signal experiments")
     if not cfg.chi_grid:
         raise ValueError("sweep needs a chi_grid")
     out_dir = cfg.out_dir

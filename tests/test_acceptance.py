@@ -91,9 +91,12 @@ def _soliton_run(name):
     cfg = preset(name)
     nm = max(cfg.nm_list)
     fem, u0, basis_full, model = harness._setup(cfg, nm)
-    ref = harness._reference_series(cfg, fem, u0, cfg.solver().n_steps())
-    row, traj = harness._run_one_nm(cfg, basis_full, model, u0, ref, nm, None)
-    drift = float(np.abs(traj.coeffs - traj.coeffs[0]).max())
+    track = harness._track(cfg, basis_full, model, u0, nm, None)
+    errors = {}
+    scores = harness._score(cfg, fem, u0, {nm: track}, errors, None)
+    assert errors == {}
+    row = harness._tabulate(cfg, nm, track, *scores[nm], None)
+    drift = float(np.abs(track.coeffs - track.coeffs[0]).max())
     return row, drift, model
 
 

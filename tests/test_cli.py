@@ -157,6 +157,10 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
         ("frobenius", ADVECTION_INI.replace("chi = 60", "chi = 60\nnm_ref = 100"),
          "nm_ref = 100 modes requested from a mesh of 79 dofs"),
         ("frobenius", scsa, "needs a dynamic problem"),
+        ("run", scsa, "run needs a dynamic problem"),
+        ("sweep", scsa, "sweep needs a dynamic problem"),
+        ("sweep", ADVECTION_INI, "sweep needs a chi_grid"),
+        ("scsa", ADVECTION_INI, "scsa needs a chi_grid"),
         ("frobenius", ADVECTION_INI.replace("chi = 60", "chi = 60\nnm_ref = 0"),
          "nm_ref must be at least 1, got 0"),
         ("run", ADVECTION_INI + "[solver]\nfp_tol = 0\n", "fp_tol must be positive"),

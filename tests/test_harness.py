@@ -2,6 +2,7 @@
 
 import configparser
 import os
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -306,8 +307,22 @@ def test_failures_record_a_basis_off_g_orthonormal(tmp_path, monkeypatch):
     assert "N_M=4: InvariantError" in failures and "N_M=5: InvariantError" in failures
 
 
+def test_failures_record_a_failed_reference(tmp_path, monkeypatch):
+    def failing(*args):
+        raise RuntimeError("reference diverged")
+
+    monkeypatch.setattr(harness, "fkpp_reference", failing)
+    cfg = ExperimentConfig(problem="fkpp", n_nodes=61, chi=40.0, dt=1e-3, t_max=4e-3,
+                           nm_list=(4, 6), out_dir=str(tmp_path))
+    report = run_experiment(cfg)
+    assert report.rows == []
+    assert report.errors == {nm: "RuntimeError: reference diverged" for nm in (4, 6)}
+    failures = Path(cfg.out_dir, "failures.txt").read_text()
+    assert "N_M=4: RuntimeError" in failures and "N_M=6: RuntimeError" in failures
+
+
 @pytest.mark.parametrize("problem", ["advection", "kdv_soliton"])
-def test_error_series_matches_per_level_definition(problem):
+def test_error_series_matches_per_level_definition(problem, tmp_path, monkeypatch):
     cfg = ExperimentConfig(problem=problem)
     if problem == "advection":
         cfg.n_nodes, cfg.chi, cfg.c = 121, 60.0, 0.5
@@ -321,27 +336,56 @@ def test_error_series_matches_per_level_definition(problem):
     n_steps = cfg.solver().n_steps()
     assert n_steps + 1 > 2 * harness._CHUNK  # levels in three chunks
     fem, u0, basis_full, model = harness._setup(cfg, nm)
-    ref = harness._reference_series(cfg, fem, u0, n_steps)
-    basis, traj = harness._trajectory(cfg, basis_full, model, u0, nm)
+    trajectories = []
+    inner = harness.run
+
+    def recording(*args):
+        trajectories.append(inner(*args))
+        return trajectories[-1]
+
+    monkeypatch.setattr(harness, "run", recording)
+    track = harness._track(cfg, basis_full, model, u0, nm, None)
+    (traj,) = trajectories
     law = model.coefficient_law
-    snap_indices = [0, harness._CHUNK + 1, n_steps]
-    eps, amp, snaps = harness._error_series(basis, traj, law, ref, snap_indices)
-    assert sorted(snaps) == snap_indices
+    errors = {}
+    scores = harness._score(cfg, fem, u0, {nm: track}, errors, str(tmp_path))
+    assert errors == {}
+    eps, amp = scores[nm]
+    snap_indices = [0, n_steps // 4, n_steps // 2, n_steps]
+    snaps = {i: np.loadtxt(tmp_path / f"snapshot_nm{nm:03d}_t{round(100 * i / n_steps):03d}.csv",
+                           delimiter=",", skiprows=1) for i in snap_indices}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"snapshot_nm{nm:03d}_t{tag:03d}.csv" for tag in (0, 25, 50, 100))
+    assert any(i % harness._CHUNK for i in snap_indices[1:])  # one inside a chunk
 
     # the definition, one level at a time: the same midpoint steps, each
     # generator's Cayley factor applied and Gram-Schmidt at every step
     solver, eye, h = cfg.solver(), np.eye(nm), 0.5 * cfg.dt
-    state, Q = dynamics.initial_state(basis, traj.coeffs[0], model), eye
+    state, Q = dynamics.initial_state(track.basis, traj.coeffs[0], model), eye
     for k in range(n_steps + 1):
-        u = reconstruct_nodal(propagate_basis(basis, Q), traj.coeffs[k], law)
-        assert eps[k] == pytest.approx(eps_l2(fem, ref[k], u), rel=1e-12)
-        assert amp[k] == pytest.approx(eps_amplitude(ref[k], u), rel=1e-12)
+        ref = harness._exact(cfg, fem.coords, cfg.dt * k)
+        u = reconstruct_nodal(propagate_basis(track.basis, Q), traj.coeffs[k], law)
+        assert eps[k] == pytest.approx(eps_l2(fem, ref, u), rel=1e-12)
+        assert amp[k] == pytest.approx(eps_amplitude(ref, u), rel=1e-12)
         if k in snaps:
-            np.testing.assert_allclose(snaps[k], u, rtol=0, atol=1e-12 * np.abs(u).max())
+            np.testing.assert_array_equal(snaps[k][:, 0], fem.coords)
+            np.testing.assert_array_equal(snaps[k][:, 1], ref)
+            np.testing.assert_allclose(snaps[k][:, 2], u, rtol=0, atol=1e-12 * np.abs(u).max())
         if k < n_steps:
             state, M = dynamics.step_midpoint(state, model, solver)
             np.testing.assert_array_equal(state.coeffs, traj.coeffs[k + 1])
             Q = orthonormalize_g(Q @ np.linalg.solve(eye - h * M, eye + h * M))
+
+
+def reference_levels(cfg, fem):
+    """The reference blocks of cfg, checked to follow each other, stacked."""
+    n_steps = cfg.solver().n_steps()
+    blocks = list(harness._reference_blocks(cfg, fem, None, n_steps))
+    assert [start for start, _ in blocks] == list(range(0, n_steps + 1, harness._CHUNK))
+    assert all(len(ref) <= harness._CHUNK for _, ref in blocks)
+    ref = np.concatenate([ref for _, ref in blocks])
+    assert ref.shape == (n_steps + 1, fem.n_active)
+    return ref
 
 
 @pytest.mark.parametrize("problem, model", [
@@ -356,7 +400,7 @@ def test_reference_series_blocks_match_per_level_exact(problem, model):
     n_steps = cfg.solver().n_steps()
     assert (n_steps + 1) % harness._CHUNK == 5
     fem = harness._build_space(cfg)
-    ref = harness._reference_series(cfg, fem, None, n_steps)
+    ref = reference_levels(cfg, fem)
     for i, row in enumerate(ref):
         np.testing.assert_array_equal(row, harness._exact(cfg, fem.coords, cfg.dt * i))
 
@@ -377,11 +421,74 @@ def test_n_soliton_reference_blocks_are_bounded(monkeypatch):
                   dt=1e-3, t_max=0.02, c_scatter=(1.0,) * 6, k_scatter=k)
     n_steps = cfg.solver().n_steps()
     fem = harness._build_space(cfg)
-    ref = harness._reference_series(cfg, fem, None, n_steps)
+    ref = reference_levels(cfg, fem)
     assert len(shapes) > 1 and sum(s[0] for s in shapes) == n_steps + 1
     assert all(s[0] * 2 ** 6 <= harness._CHUNK * 8 for s in shapes)
     for i, row in enumerate(ref):
         np.testing.assert_array_equal(row, inner(cfg.c_scatter, k, fem.coords, cfg.dt * i))
+
+
+def test_run_never_holds_the_reference_series():
+    # 513 levels of 799 nodes: the whole series alone would be 3.28 MB
+    cfg = ExperimentConfig(problem="advection", n_nodes=801, chi=60.0, c=0.5,
+                           dt=1.0 / 1024, t_max=0.5, nm_list=(4, 6))
+    levels = cfg.solver().n_steps() + 1
+    tracemalloc.start()
+    try:
+        report = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.errors == {} and [r.nm for r in report.rows] == [4, 6]
+    assert peak < levels * 799 * 8
+
+
+def test_each_reference_level_is_evaluated_once(monkeypatch):
+    blocks, single = [], []
+    inner = harness.kdv_one_soliton
+
+    def counting(beta_speed, x0, x, t):
+        (blocks if np.ndim(t) else single).append(np.ravel(t))
+        return inner(beta_speed, x0, x, t)
+
+    monkeypatch.setattr(harness, "kdv_one_soliton", counting)
+    cfg = replace(ExperimentConfig(problem="kdv_eigen"), a=-5.0, b=15.0, n_nodes=101,
+                  beta_speed=4.0, dt=2e-3, t_max=0.3, nm_list=(6, 8))
+    report = run_experiment(cfg)
+    assert report.errors == {} and [r.nm for r in report.rows] == [6, 8]
+    assert len(single) == 1  # the initial condition
+    assert len(blocks) > 1
+    np.testing.assert_array_equal(np.concatenate(blocks),
+                                  cfg.dt * np.arange(cfg.solver().n_steps() + 1))
+
+
+@pytest.fixture(scope="module")
+def fkpp2d_run(tmp_path_factory):
+    cfg = ExperimentConfig(problem="fkpp", n_per_side=8, chi=25.0, nu=50.0, tol_deg=2e-3,
+                           dt=5e-4, t_max=4e-3, nm_list=(3, 5))
+    cfg.out_dir = str(tmp_path_factory.mktemp("fkpp2d"))
+    report = run_experiment(cfg)
+    return cfg, report
+
+
+@pytest.mark.parametrize("run", ["advection_run", "fkpp2d_run"])
+def test_snapshot_files_match_savetxt(run, request, tmp_path):
+    cfg, report = request.getfixturevalue(run)
+    assert report.errors == {}
+    files = sorted(Path(cfg.out_dir).glob("snapshot_*.csv"))
+    assert len(files) == 4 * len(cfg.nm_list)
+    shared = {}
+    for f in files:
+        text = f.read_text()
+        header = text.split("\n", 1)[0]
+        np.savetxt(tmp_path / "savetxt.csv", np.loadtxt(f, delimiter=",", skiprows=1),
+                   fmt="%.17g", delimiter=",", header=header, comments="")
+        assert f.read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+        # the columns before u_rom are the same for every N_M
+        before_u_rom = [line.rsplit(",", 1)[0] for line in text.splitlines()]
+        tag = f.name.rsplit("_", 1)[1]
+        assert before_u_rom == shared.setdefault(tag, before_u_rom)
+    assert len(shared) == 4
 
 
 def test_csv_values_carry_full_precision(advection_run):
