@@ -23,6 +23,7 @@ from .eigenbasis import initial_projection, solve_schrodinger_eig
 from .mesh import (
     DIRICHLET,
     NEUMANN,
+    active_nodes,
     assemble,
     build_structured_square_mesh,
     build_uniform_mesh_1d,
@@ -203,7 +204,7 @@ def _check(cfg: ExperimentConfig) -> None:
                              f"got beta_speed = {cfg.beta_speed}")
     if cfg.problem == "scsa" and cfg.signal != "double_gaussian":
         return  # the signal file sets the mesh
-    dofs = _build_space(cfg).n_active
+    dofs = _dofs(cfg)
     n_max = cfg.n_modes_cap if cfg.problem == "scsa" else max(cfg.nm_list)
     if n_max > dofs:
         raise ValueError(f"{n_max} modes requested from a mesh of {dofs} dofs")
@@ -225,7 +226,7 @@ def check_command(cfg: ExperimentConfig, command: str) -> None:
         return
     if cfg.nm_ref < 1:
         raise ValueError(f"nm_ref must be at least 1, got {cfg.nm_ref}")
-    dofs = _build_space(cfg).n_active
+    dofs = _dofs(cfg)
     if cfg.nm_ref > dofs:
         raise ValueError(f"nm_ref = {cfg.nm_ref} modes requested from a mesh of {dofs} dofs")
 
@@ -235,10 +236,16 @@ def eps_l2(fem, u_ref: np.ndarray, u_num: np.ndarray):
 
     For stacks of time levels, shape (levels, N), one error per row.
     """
-    denom = fem.norm(u_ref)
-    if np.any(denom == 0.0):
-        raise ValueError("reference solution has zero norm")
+    denom = _reference_norm(fem, u_ref)
     return fem.norm(u_ref - u_num) / denom
+
+
+def _reference_norm(fem, u_ref: np.ndarray):
+    """||u_ref||, per row for stacks; ValueError where it is zero."""
+    norm = fem.norm(u_ref)
+    if np.any(norm == 0.0):
+        raise ValueError("reference solution has zero norm")
+    return norm
 
 
 def eps_amplitude(u_ref: np.ndarray, u_num: np.ndarray):
@@ -274,16 +281,23 @@ _TABLE_HEADER = ",".join(f.name for f in fields(MetricsRow))
 # problem setup
 
 
-def _build_space(cfg: ExperimentConfig):
+def _mesh(cfg: ExperimentConfig):
+    """(mesh, boundary condition) of the experiment."""
     if cfg.problem == "fkpp" and cfg.n_per_side is not None:
-        mesh = build_structured_square_mesh(cfg.n_per_side)
-        bc = cfg.bc or NEUMANN
-    else:
-        mesh = build_uniform_mesh_1d(cfg.a, cfg.b, cfg.n_nodes)
-        # Neumann for signals: shifted signals keep a nonzero baseline at
-        # the boundary that Dirichlet modes cannot represent
-        bc = cfg.bc or (NEUMANN if cfg.problem == "scsa" else DIRICHLET)
-    return assemble(mesh, bc)
+        return build_structured_square_mesh(cfg.n_per_side), cfg.bc or NEUMANN
+    # Neumann for signals: shifted signals keep a nonzero baseline at the
+    # boundary that Dirichlet modes cannot represent
+    bc = cfg.bc or (NEUMANN if cfg.problem == "scsa" else DIRICHLET)
+    return build_uniform_mesh_1d(cfg.a, cfg.b, cfg.n_nodes), bc
+
+
+def _build_space(cfg: ExperimentConfig):
+    return assemble(*_mesh(cfg))
+
+
+def _dofs(cfg: ExperimentConfig) -> int:
+    """The n_active of _build_space(cfg), from the mesh alone, unassembled."""
+    return active_nodes(*_mesh(cfg)).size
 
 
 def _exact(cfg: ExperimentConfig, x, t) -> np.ndarray:
@@ -307,21 +321,25 @@ def _initial_condition(cfg: ExperimentConfig, fem):
 
 
 def _reference_blocks(cfg: ExperimentConfig, fem, u0, n_steps: int):
-    """(start, levels) blocks of _CHUNK levels of the reference nodal solution.
+    """(start, levels) blocks of the reference nodal solution, in order.
 
-    A closed form is evaluated a block at a time, never stored whole; the
-    n-soliton form holds 2^n arrays of its input, so it fills a block
-    _CHUNK x 8 / 2^n levels at a time.  FKPP is integrated whole, then sliced.
+    A block has _CHUNK levels, fewer on a mesh of more than _BLOCK_VALUES /
+    _CHUNK dofs.  A closed form is evaluated a block at a time, never stored
+    whole; the n-soliton form holds 2^n arrays of its input, so it fills a
+    block 8 / 2^n of its levels at a time.  FKPP is integrated whole, then
+    sliced into the same blocks.
     """
+    length = min(_CHUNK, max(1, _BLOCK_VALUES // fem.n_active))
+    starts = range(0, n_steps + 1, length)
     if cfg.problem == "fkpp":
         ref = fkpp_reference(fem, u0, cfg.nu, cfg.dt, n_steps)
-        for start in range(0, n_steps + 1, _CHUNK):
-            yield start, ref[start:start + _CHUNK]
+        for start in starts:
+            yield start, ref[start:start + length]
         return
-    size = _CHUNK if cfg.c_scatter is None else max(1, _CHUNK * 8 // 2 ** len(cfg.c_scatter))
+    size = length if cfg.c_scatter is None else max(1, length * 8 // 2 ** len(cfg.c_scatter))
     times = cfg.dt * np.arange(n_steps + 1)
-    for start in range(0, n_steps + 1, _CHUNK):
-        block = times[start:start + _CHUNK, None]
+    for start in starts:
+        block = times[start:start + length, None]
         parts = [_exact(cfg, fem.coords, block[sub:sub + size])
                  for sub in range(0, len(block), size)]
         yield start, parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -406,9 +424,11 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: str, errors: dict | None = N
 # main drivers
 
 
-# time levels evaluated, reconstructed and scored at once: the (levels, N)
-# arrays of a chunk stay a few MiB on the largest mesh
+# time levels evaluated, reconstructed and scored at once, at most _CHUNK and
+# so many that a (levels, N) array of a block holds at most _BLOCK_VALUES
+# values (1 MiB): 64 levels up to 2048 dofs, 22 on the 5776-dof square
 _CHUNK = 64
+_BLOCK_VALUES = 2 ** 17
 
 
 # what scoring keeps of a trajectory (dynamics.Trajectory): the modes at
@@ -430,9 +450,9 @@ def _track(cfg, basis_full, model, u0, nm, out_dir) -> _Track:
 def _score(cfg, fem, u0, tracks: dict, errors: dict, out_dir) -> dict:
     """Stage 2: {nm: (eps_L2, amplitude error)} of the tracks at every level.
 
-    One pass over the reference: each block is computed once and scored for
-    every N_M without an error.  A snapshot's coordinates and u_ref are
-    formatted once, and each N_M's u_rom filled in.
+    One pass over the reference: each block and its norm are computed once
+    and scored for every N_M without an error.  A snapshot's coordinates and
+    u_ref are formatted once, and each N_M's u_rom filled in.
     """
     n = cfg.solver().n_steps()
     snap_levels = sorted({0, n // 4, n // 2, n}) if out_dir is not None else []
@@ -443,12 +463,13 @@ def _score(cfg, fem, u0, tracks: dict, errors: dict, out_dir) -> dict:
         for start, ref in _reference_blocks(cfg, fem, u0, n):
             rows = slice(start, start + len(ref))
             snaps = [i for i in snap_levels if rows.start <= i < rows.stop]
+            ref_norm = _reference_norm(fem, ref)
 
             def score(nm):
                 basis, frame, coeffs, _ = tracks[nm]
                 u = (reconstruct_nodal(basis, frame[rows]) if coeffs is None
                      else reconstruct_nodal(basis, coeffs[rows], "soliton", frame[rows]))
-                scores[nm][0][rows] = eps_l2(fem, ref, u)
+                scores[nm][0][rows] = fem.norm(ref - u) / ref_norm
                 scores[nm][1][rows] = eps_amplitude(ref, u)
                 return u[[i - start for i in snaps]]
 

@@ -193,6 +193,18 @@ class FemOperators:
         return np.sqrt(np.abs(np.einsum("ij,ij->i", u, (self.mass @ u.T).T)))
 
 
+def active_nodes(mesh: Mesh1D | TriMesh, bc: str) -> np.ndarray:
+    """Indices of the nodes ``assemble(mesh, bc)`` keeps: every node under
+    Neumann, the interior ones under Dirichlet."""
+    if bc not in (DIRICHLET, NEUMANN):
+        raise ValueError(f"unknown boundary condition {bc!r}")
+    if bc == NEUMANN:
+        return np.arange(mesh.n_nodes)
+    if mesh.dim == 1:
+        return np.arange(1, mesh.n_nodes - 1)
+    return np.flatnonzero(mesh.boundary_flags == 0)
+
+
 def assemble(mesh: Mesh1D | TriMesh, bc: str = DIRICHLET) -> FemOperators:
     """Assemble mass/stiffness (and convection in 1D) for the given mesh.
 
@@ -207,27 +219,18 @@ def assemble(mesh: Mesh1D | TriMesh, bc: str = DIRICHLET) -> FemOperators:
     -------
     FemOperators
     """
-    if bc not in (DIRICHLET, NEUMANN):
-        raise ValueError(f"unknown boundary condition {bc!r}")
+    active = active_nodes(mesh, bc)
     if mesh.dim == 1:
         G, K, C = _assemble_1d(mesh)
-        n = mesh.n_nodes
-        boundary = np.zeros(n, dtype=bool)
-        boundary[[0, -1]] = True
         measure = mesh.b - mesh.a
     else:
         G, K = _assemble_2d(mesh)
         C = None
-        boundary = mesh.boundary_flags.astype(bool)
         p = mesh.vertices[mesh.triangles]
         measure = float(
             0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]).sum()
         )
 
-    if bc == DIRICHLET:
-        active = np.flatnonzero(~boundary)
-    else:
-        active = np.arange(mesh.n_nodes)
     sel = np.ix_(active, active)
     G = G.tocsr()[sel].tocsr()
     K = K.tocsr()[sel].tocsr()

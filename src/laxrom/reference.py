@@ -86,10 +86,10 @@ def _square_load(fem: FemOperators):
     With (w, V) the quadrature weights and values matrix, it is
     V^T (w * (V u)^2), equal to W(u) u for the weighted mass matrix W(u)
     (``mesh.assemble_weighted_mass``); the rule is exact for the cubic
-    integrand.  V^T is converted to CSR once, here.
+    integrand.  V^T is the CSC view of the CSR V, not a copy.
     """
     qw, values, _ = fem.quadrature()
-    values_t = values.T.tocsr()
+    values_t = values.T
 
     def load(u):
         uq = values @ u

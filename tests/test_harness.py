@@ -146,6 +146,24 @@ def test_shipped_preset_loads(path):
     assert load_config(path).source_path == str(path)
 
 
+@pytest.mark.parametrize("path", PRESETS + [None],
+                         ids=[p.stem for p in PRESETS] + ["square_dirichlet"])
+def test_dofs_are_counted_without_assembly(path, tmp_path, monkeypatch):
+    def unassembled(*args):
+        raise AssertionError("the range checks assembled the operators")
+
+    if path is None:  # a 2D Dirichlet square of 6 x 6 nodes: 16 interior
+        path = write_config(tmp_path, ROUND_TRIP_REST)
+    monkeypatch.setattr(harness, "assemble", unassembled)
+    cfg = load_config(path)
+    if cfg.problem != "scsa":
+        harness.check_command(cfg, "frobenius")
+    monkeypatch.undo()
+    assert harness._dofs(cfg) == harness._build_space(cfg).n_active
+    if cfg.n_per_side is not None and cfg.bc == "dirichlet":
+        assert harness._dofs(cfg) == 16
+
+
 def test_config_rejects_unknown_section(tmp_path):
     path = write_config(tmp_path, TINY_ADVECTION + "\n[plotting]\nstyle = fancy\n")
     with pytest.raises(ValueError, match="unknown section"):
@@ -321,6 +339,28 @@ def test_failures_record_a_failed_reference(tmp_path, monkeypatch):
     assert "N_M=4: RuntimeError" in failures and "N_M=6: RuntimeError" in failures
 
 
+def test_failures_record_a_zero_norm_reference_level(tmp_path, monkeypatch):
+    # a block's norm is checked once for all N_M: a zero level in the second
+    # block fails every one of them, as eps_l2 would
+    inner = harness.fkpp_reference
+
+    def zeroed(*args):
+        series = inner(*args)
+        series[80] = 0.0
+        return series
+
+    monkeypatch.setattr(harness, "fkpp_reference", zeroed)
+    cfg = ExperimentConfig(problem="fkpp", n_nodes=61, chi=40.0, dt=1e-3, t_max=0.1,
+                           nm_list=(4, 6), out_dir=str(tmp_path))
+    assert cfg.solver().n_steps() == 100 and 80 >= harness._CHUNK
+    report = run_experiment(cfg)
+    message = "ValueError: reference solution has zero norm"
+    assert report.rows == []
+    assert report.errors == {nm: message for nm in (4, 6)}
+    assert Path(cfg.out_dir, "failures.txt").read_text() == (
+        f"N_M=4: {message}\nN_M=6: {message}\n")
+
+
 @pytest.mark.parametrize("problem", ["advection", "kdv_soliton"])
 def test_error_series_matches_per_level_definition(problem, tmp_path, monkeypatch):
     cfg = ExperimentConfig(problem=problem)
@@ -460,6 +500,44 @@ def test_each_reference_level_is_evaluated_once(monkeypatch):
     assert len(blocks) > 1
     np.testing.assert_array_equal(np.concatenate(blocks),
                                   cfg.dt * np.arange(cfg.solver().n_steps() + 1))
+
+
+def test_scoring_arrays_are_bounded_on_a_large_mesh(monkeypatch):
+    # 4096 dofs: blocks of 2^17 / 4096 = 32 levels, three for 71 levels, and
+    # no reference block or reconstruction holds more than 2^17 values
+    ref_shapes, nodal_shapes = [], []
+    blocks, nodal = harness._reference_blocks, harness.reconstruct_nodal
+
+    def recording_blocks(*args):
+        for start, ref in blocks(*args):
+            ref_shapes.append(ref.shape)
+            yield start, ref
+
+    def recording_nodal(*args):
+        u = nodal(*args)
+        nodal_shapes.append(u.shape)
+        return u
+
+    monkeypatch.setattr(harness, "_reference_blocks", recording_blocks)
+    monkeypatch.setattr(harness, "reconstruct_nodal", recording_nodal)
+    cfg = ExperimentConfig(problem="fkpp", n_per_side=64, chi=25.0, nu=50.0, tol_deg=2e-3,
+                           dt=5e-4, t_max=3.5e-2, nm_list=(3, 5))
+    report = run_experiment(cfg)
+    assert report.errors == {} and [r.nm for r in report.rows] == [3, 5]
+    assert ref_shapes == [(32, 4096), (32, 4096), (7, 4096)]
+    assert sorted(nodal_shapes) == sorted(ref_shapes * 2)
+    assert all(np.prod(shape) <= 2 ** 17 for shape in ref_shapes + nodal_shapes)
+
+
+@pytest.mark.parametrize("n_nodes, levels", [(2050, 64), (2051, 63)])
+def test_1d_meshes_keep_chunk_level_blocks(n_nodes, levels):
+    # up to 2048 dofs a block has _CHUNK = 64 levels; one dof more takes one off
+    assert harness._CHUNK == 64
+    cfg = ExperimentConfig(problem="advection", n_nodes=n_nodes, dt=1.0 / 256, t_max=0.5)
+    fem = harness._build_space(cfg)
+    blocks = list(harness._reference_blocks(cfg, fem, None, cfg.solver().n_steps()))
+    assert [start for start, _ in blocks] == [0, levels, 2 * levels]
+    assert [len(ref) for _, ref in blocks] == [levels, levels, 129 - 2 * levels]
 
 
 @pytest.fixture(scope="module")
