@@ -15,7 +15,6 @@ from laxrom import (
     SolverConfig,
     assemble,
     build_uniform_mesh_1d,
-    choose_chi,
     eps_l2,
     initial_projection,
     reconstruct_nodal,
@@ -32,13 +31,7 @@ x = fem.coords
 u0 = np.exp(-250.0 * (x - 0.25) ** 2)
 
 # The weight chi sets how many trapped modes the operator -u'' - chi u
-# offers; larger chi localizes more of them around the pulse.  choose_chi
-# scans a grid until the initial projection is good enough.
-sel = choose_chi(fem, u0, 1e-3, (50.0, 100.0, 150.0), N_MODES)
-print(f"chi grid projection errors: "
-      + ", ".join(f"{c:g}: {e:.1e}" for c, e in sel.errors))
-print(f"selected chi = {sel.chi:g} ({'tolerance met' if sel.met else 'best available'})")
-
+# offers; larger chi localizes more of them around the pulse.
 basis = solve_schrodinger_eig(fem, u0, CHI, N_MODES)
 beta0, _ = initial_projection(basis, u0)
 

@@ -21,10 +21,8 @@ from .mesh import FemOperators, assemble_weighted_mass
 __all__ = [
     "EigensolveError",
     "ReducedBasis",
-    "ChiSelection",
     "solve_schrodinger_eig",
     "initial_projection",
-    "choose_chi",
 ]
 
 RESIDUAL_TOL = 1e-8
@@ -158,39 +156,3 @@ def initial_projection(basis: ReducedBasis, u0_nodal: np.ndarray):
     beta = basis.B.T @ (basis.fem.mass @ u0_nodal)
     err = basis.fem.norm(u0_nodal - basis.B @ beta)
     return beta, err
-
-
-@dataclass
-class ChiSelection:
-    """Outcome of a chi calibration sweep."""
-
-    chi: float
-    met: bool
-    errors: list  # (chi, projection error) per grid value, in sweep order
-
-
-def choose_chi(
-    fem: FemOperators,
-    u0_nodal: np.ndarray,
-    eps0: float,
-    chi_grid,
-    n_modes: int,
-) -> ChiSelection:
-    """Smallest chi in the grid whose basis captures u0 to tolerance.
-
-    Sweeps ``chi_grid`` in ascending order and returns the first value whose
-    ``n_modes``-mode projection error ||u0 - P u0|| falls at or below
-    ``eps0``.  If none qualifies the largest grid value is returned with
-    ``met=False``; the per-chi errors are kept for diagnostics.
-    """
-    chis = sorted(float(c) for c in chi_grid)
-    if not chis:
-        raise ValueError("empty chi grid")
-    errors = []
-    for chi in chis:
-        basis = solve_schrodinger_eig(fem, u0_nodal, chi, n_modes)
-        _, err = initial_projection(basis, u0_nodal)
-        errors.append((chi, err))
-        if err <= eps0:
-            return ChiSelection(chi=chi, met=True, errors=errors)
-    return ChiSelection(chi=chis[-1], met=False, errors=errors)

@@ -152,7 +152,10 @@ def load_config(path) -> ExperimentConfig:
                 raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
             if key in values:
                 raise ValueError(f"{path}: {key} is set in more than one section")
-            values[key] = _SCHEMA[section][key](text)
+            try:
+                values[key] = _SCHEMA[section][key](text)
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
     if "problem" not in values:
         raise ValueError(f"{path}: missing [experiment] problem")
     cfg = ExperimentConfig(**values, source_path=str(path),

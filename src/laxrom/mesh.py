@@ -144,12 +144,10 @@ class FemOperators:
     """
 
     mesh: Mesh1D | TriMesh
-    bc: str
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
     convection: sp.csr_matrix | None
     active: np.ndarray
-    measure: float
     _quad: tuple | None = field(default=None, repr=False)
 
     @property
@@ -222,14 +220,9 @@ def assemble(mesh: Mesh1D | TriMesh, bc: str = DIRICHLET) -> FemOperators:
     active = active_nodes(mesh, bc)
     if mesh.dim == 1:
         G, K, C = _assemble_1d(mesh)
-        measure = mesh.b - mesh.a
     else:
         G, K = _assemble_2d(mesh)
         C = None
-        p = mesh.vertices[mesh.triangles]
-        measure = float(
-            0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]).sum()
-        )
 
     sel = np.ix_(active, active)
     G = G.tocsr()[sel].tocsr()
@@ -241,12 +234,10 @@ def assemble(mesh: Mesh1D | TriMesh, bc: str = DIRICHLET) -> FemOperators:
     K = ((K + K.T) * 0.5).tocsr()
     return FemOperators(
         mesh=mesh,
-        bc=bc,
         mass=G,
         stiffness=K,
         convection=C,
         active=active,
-        measure=measure,
     )
 
 

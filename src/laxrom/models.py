@@ -87,8 +87,6 @@ class FkppModel(EquationModel):
     gamma_i = (nu - lambda_i) beta_i - (chi + nu) sum_jk T_ijk beta_j beta_k
     """
 
-    required_aux = ()
-
     def __init__(self, nu: float, chi: float):
         self.nu = float(nu)
         self.chi = float(chi)

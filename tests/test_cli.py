@@ -173,6 +173,10 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
          "KdV needs scattering data or beta_speed > 0"),
         ("run", kdv3.replace("c_scatter = 0.05 0.15 10.0\nk_scatter = 1.0 1.5 1.75", ""),
          "KdV needs scattering data or beta_speed > 0"),
+        ("run", ADVECTION_INI.replace("n_nodes = 81", "n_nodes = abc"),
+         f"{path}: [mesh] n_nodes: invalid literal for int()"),
+        ("run", ADVECTION_INI.replace("nm_list = 4 6", "nm_list = 4, x"),
+         f"{path}: [reduction] nm_list: invalid literal for int() with base 10: 'x'"),
     ]:
         path.write_text(text)
         out = tmp_path / "out"

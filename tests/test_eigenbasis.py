@@ -1,4 +1,4 @@
-"""Schrodinger eigenbasis: spectra, orthonormality, chi calibration."""
+"""Schrodinger eigenbasis: spectra, orthonormality, dense and sparse solves."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from laxrom import (
     assemble,
     build_uniform_mesh_1d,
     build_structured_square_mesh,
-    choose_chi,
     eigenbasis,
     initial_projection,
     solve_schrodinger_eig,
@@ -135,37 +134,6 @@ def test_solver_input_validation(interval):
         solve_schrodinger_eig(fem, np.zeros(fem.n_active), 1.0, 0)
     with pytest.raises(ValueError):
         solve_schrodinger_eig(fem, np.zeros(fem.n_active), 1.0, fem.n_active + 1)
-
-
-def test_choose_chi_smallest_meeting_tolerance():
-    # shifted signal keeps a nonzero baseline, so the candidate basis is
-    # built with natural boundary conditions
-    fem = assemble(build_uniform_mesh_1d(0.0, 1.0, 500), "neumann")
-    x = fem.coords
-    u0 = np.exp(-250 * (x - 0.25) ** 2) - np.exp(-250 * (x - 0.75) ** 2)
-    u0 = u0 - u0.min()
-    sel = choose_chi(fem, u0, eps0=1e-2, chi_grid=[250.0, 500.0], n_modes=50)
-    assert sel.met
-    assert sel.chi == 250.0
-    assert [c for c, _ in sel.errors] == [250.0]
-    assert sel.errors[-1][1] <= 1e-2
-
-
-def test_choose_chi_infinite_tolerance_picks_first(interval):
-    fem = interval
-    u0 = np.exp(-250 * (fem.coords - 0.25) ** 2)
-    sel = choose_chi(fem, u0, eps0=np.inf, chi_grid=[30.0, 60.0], n_modes=5)
-    assert sel.met and sel.chi == 30.0
-    assert len(sel.errors) == 1
-
-
-def test_choose_chi_never_met(interval):
-    fem = interval
-    u0 = np.exp(-250 * (fem.coords - 0.25) ** 2)
-    sel = choose_chi(fem, u0, eps0=0.0, chi_grid=[30.0, 60.0], n_modes=3)
-    assert not sel.met
-    assert sel.chi == 60.0
-    assert len(sel.errors) == 2
 
 
 def _dense_and_sparse(monkeypatch, fem, u0, chi, n_modes):
