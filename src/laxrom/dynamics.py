@@ -69,9 +69,9 @@ class FixedPointError(RuntimeError):
 class SolverConfig:
     """Parameters of the reduced integration."""
 
-    chi: float
-    dt: float
-    t_max: float
+    chi: float = 1.0
+    dt: float = 1e-3
+    t_max: float = 1.0
     fp_tol: float = 1e-9
     fp_max_iters: int = 100
     tol_deg: float = 1e-8

@@ -51,9 +51,13 @@ PROBLEMS = ("advection", "kdv_eigen", "kdv_soliton", "fkpp", "scsa")
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class ExperimentConfig:
-    """Flat view of one experiment configuration file."""
+@dataclass(kw_only=True)
+class ExperimentConfig(SolverConfig):
+    """Flat view of one experiment configuration file.
+
+    The reduced integration's fields (chi, dt, t_max, fp_tol, fp_max_iters,
+    tol_deg) are SolverConfig's, so ``run`` takes the config itself.
+    """
 
     problem: str
     out_dir: str | None = None
@@ -64,16 +68,8 @@ class ExperimentConfig:
     n_per_side: int | None = None
     bc: str | None = None
     # reduction
-    chi: float = 1.0
     nm_list: tuple = (10,)
     nm_ref: int = 50
-    # time stepping
-    dt: float = 1e-3
-    t_max: float = 1.0
-    # nonlinear solver
-    fp_tol: float = 1e-9
-    fp_max_iters: int = 100
-    tol_deg: float = 1e-8
     # model parameters
     c: float = 0.5
     nu: float = 1.0
@@ -89,16 +85,6 @@ class ExperimentConfig:
     # bookkeeping
     source_path: str | None = None
     source_hash: str | None = None
-
-    def solver(self) -> SolverConfig:
-        return SolverConfig(
-            chi=self.chi,
-            dt=self.dt,
-            t_max=self.t_max,
-            fp_tol=self.fp_tol,
-            fp_max_iters=self.fp_max_iters,
-            tol_deg=self.tol_deg,
-        )
 
 
 def _floats(text: str) -> tuple:
@@ -172,7 +158,7 @@ def _check(cfg: ExperimentConfig) -> None:
     if cfg.problem not in PROBLEMS:
         raise ValueError(f"unknown problem {cfg.problem!r}")
     if cfg.problem != "scsa":
-        cfg.solver().n_steps()
+        cfg.n_steps()
     if cfg.bc is not None and cfg.bc not in (DIRICHLET, NEUMANN):
         raise ValueError(f"bc must be {DIRICHLET} or {NEUMANN}, got {cfg.bc!r}")
     if not cfg.nm_list or min(cfg.nm_list) < 1:
@@ -374,13 +360,15 @@ def _setup(cfg: ExperimentConfig, nm_max: int):
 
 
 def _trajectory(cfg: ExperimentConfig, basis_full, model, u0, nm: int):
-    """(basis, reduced trajectory) of the first nm modes."""
+    """(basis, reduced trajectory) of the first nm modes, the end basis checked."""
     basis = basis_full.truncate(nm)
     if model.coefficient_law == "soliton":
         coeffs0 = 4.0 * np.sqrt(-basis.lam[:model.n_soliton]) / cfg.chi
     else:
         coeffs0, _ = initial_projection(basis, u0)
-    return basis, run(basis, coeffs0, model, cfg.solver())
+    traj = run(basis, coeffs0, model, cfg)
+    propagate_basis(basis, traj.rotation)
+    return basis, traj
 
 
 # ---------------------------------------------------------------------------
@@ -439,26 +427,25 @@ _BLOCK_VALUES = 2 ** 17
 _Track = namedtuple("_Track", "basis frame coeffs times")
 
 
-def _track(cfg, basis_full, model, u0, nm, out_dir) -> _Track:
-    """Stage 1 for one N_M: the trajectory, the end basis checked, mnorm_nmXXX.csv."""
+def _track(cfg, basis_full, model, u0, nm) -> _Track:
+    """Stage 1 for one N_M: the trajectory and mnorm_nmXXX.csv."""
     basis, traj = _trajectory(cfg, basis_full, model, u0, nm)
-    propagate_basis(basis, traj.rotation)
-    if out_dir is not None:
-        _save_csv(out_dir, f"mnorm_nm{nm:03d}.csv", "t_half,m_frob",
+    if cfg.out_dir is not None:
+        _save_csv(cfg.out_dir, f"mnorm_nm{nm:03d}.csv", "t_half,m_frob",
                   np.column_stack([0.5 * (traj.times[:-1] + traj.times[1:]), traj.frob]))
     soliton = model.coefficient_law == "soliton"
     return _Track(basis, traj.frame, traj.coeffs if soliton else None, traj.times)
 
 
-def _score(cfg, fem, u0, tracks: dict, errors: dict, out_dir) -> dict:
+def _score(cfg, fem, u0, tracks: dict, errors: dict) -> dict:
     """Stage 2: {nm: (eps_L2, amplitude error)} of the tracks at every level.
 
     One pass over the reference: each block and its norm are computed once
     and scored for every N_M without an error.  A snapshot's coordinates and
     u_ref are formatted once, and each N_M's u_rom filled in.
     """
-    n = cfg.solver().n_steps()
-    snap_levels = sorted({0, n // 4, n // 2, n}) if out_dir is not None else []
+    n = cfg.n_steps()
+    snap_levels = sorted({0, n // 4, n // 2, n}) if cfg.out_dir is not None else []
     header = "x,y,u_ref,u_rom" if fem.coords.ndim == 2 else "x,u_ref,u_rom"
     scores = {nm: (np.empty(n + 1), np.empty(n + 1)) for nm in tracks}
 
@@ -481,17 +468,17 @@ def _score(cfg, fem, u0, tracks: dict, errors: dict, out_dir) -> dict:
             for j, i in enumerate(snaps):
                 text = _csv_rows(np.column_stack([fem.coords, ref[i - start]]), ",%%.17g\n")
                 _per_nm(u_snap, lambda nm: _write(
-                    out_dir, f"snapshot_nm{nm:03d}_t{round(100 * i / n):03d}.csv",
+                    cfg.out_dir, f"snapshot_nm{nm:03d}_t{round(100 * i / n):03d}.csv",
                     header + "\n" + text % tuple(u_snap[nm][j].tolist())), errors)
     except Exception as exc:  # noqa: BLE001 - the reference failed every N_M left
         errors.update((nm, f"{type(exc).__name__}: {exc}") for nm in scores if nm not in errors)
     return {nm: s for nm, s in scores.items() if nm not in errors}
 
 
-def _tabulate(cfg, nm, track: _Track, eps, amp, out_dir) -> MetricsRow:
+def _tabulate(cfg, nm, track: _Track, eps, amp) -> MetricsRow:
     """Stage 3 for one N_M: its error series file and table row."""
-    if out_dir is not None:
-        _save_csv(out_dir, f"errors_nm{nm:03d}.csv", "t,eps_l2,eps_amp",
+    if cfg.out_dir is not None:
+        _save_csv(cfg.out_dir, f"errors_nm{nm:03d}.csv", "t,eps_l2,eps_amp",
                   np.column_stack([track.times, eps, amp]))
     row = MetricsRow(nm=nm, mean_eps_l2=float(np.mean(eps)), max_eps_l2=float(np.max(eps)),
                      eps_final=float(eps[-1]), eps_amp=float(np.max(amp)))
@@ -524,14 +511,13 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     nm_max = max(cfg.nm_list)
     fem, u0, basis_full, model = _setup(cfg, nm_max)
     log.info("[%s] %d dofs, %d steps, modes up to %d",
-             cfg.problem, fem.n_active, cfg.solver().n_steps(), nm_max)
+             cfg.problem, fem.n_active, cfg.n_steps(), nm_max)
 
     errors = {}
-    tracks = _per_nm(cfg.nm_list, lambda nm: _track(cfg, basis_full, model, u0, nm, out_dir),
-                     errors)
-    scores = _score(cfg, fem, u0, tracks, errors, out_dir)
+    tracks = _per_nm(cfg.nm_list, lambda nm: _track(cfg, basis_full, model, u0, nm), errors)
+    scores = _score(cfg, fem, u0, tracks, errors)
     rows = list(_per_nm(
-        scores, lambda nm: _tabulate(cfg, nm, tracks[nm], *scores[nm], out_dir), errors).values())
+        scores, lambda nm: _tabulate(cfg, nm, tracks[nm], *scores[nm]), errors).values())
     if out_dir is not None:
         if rows:
             _save_csv(out_dir, "table.csv", _TABLE_HEADER, np.array([astuple(r) for r in rows]))

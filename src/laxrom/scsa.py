@@ -42,7 +42,7 @@ def shift_nonnegative(u_nodal: np.ndarray):
 def _rel_error(fem, u, approx):
     denom = fem.norm(u)
     if denom == 0.0:
-        return 0.0
+        raise ValueError("zero signal")
     return fem.norm(u - approx) / denom
 
 
@@ -52,8 +52,6 @@ def eigen_expansion(u_nodal: np.ndarray, chi: float, n_modes: int, fem: FemOpera
     Returns (approximation, relative L2 error).
     """
     u_nodal = np.asarray(u_nodal, dtype=float)
-    if not u_nodal.any():
-        return u_nodal.copy(), 0.0
     basis = solve_schrodinger_eig(fem, u_nodal, chi, n_modes)
     beta, _ = initial_projection(basis, u_nodal)
     approx = basis.B @ beta

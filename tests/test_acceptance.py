@@ -91,11 +91,11 @@ def _soliton_run(name):
     cfg = preset(name)
     nm = max(cfg.nm_list)
     fem, u0, basis_full, model = harness._setup(cfg, nm)
-    track = harness._track(cfg, basis_full, model, u0, nm, None)
+    track = harness._track(cfg, basis_full, model, u0, nm)
     errors = {}
-    scores = harness._score(cfg, fem, u0, {nm: track}, errors, None)
+    scores = harness._score(cfg, fem, u0, {nm: track}, errors)
     assert errors == {}
-    row = harness._tabulate(cfg, nm, track, *scores[nm], None)
+    row = harness._tabulate(cfg, nm, track, *scores[nm])
     drift = float(np.abs(track.coeffs - track.coeffs[0]).max())
     return row, drift, model
 
@@ -165,7 +165,7 @@ def test_criterion_03_exact_transport_generator_freezes_coefficients(acceptance_
     u0 = np.exp(-250.0 * (fem.coords - 0.25) ** 2)
     basis = solve_schrodinger_eig(fem, u0, cfg.chi, 20)
     beta0, _ = initial_projection(basis, u0)
-    traj = run(basis, beta0, AdvectionModel(cfg.c, exact_m=True), cfg.solver())
+    traj = run(basis, beta0, AdvectionModel(cfg.c, exact_m=True), cfg)
     drift = float(np.linalg.norm(traj.coeffs - beta0[None, :], axis=1).max())
     ok = drift <= 1e-9
     assert verdict(

@@ -3,7 +3,7 @@
 import configparser
 import os
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +11,8 @@ import pytest
 
 from laxrom import (
     ExperimentConfig,
+    InvariantError,
+    SolverConfig,
     assemble,
     build_uniform_mesh_1d,
     compare_frobenius,
@@ -104,6 +106,15 @@ chi_grid = 10, 20.5
 n_modes_cap = 7
 methods = eigen
 """
+
+
+def test_experiment_config_is_a_solver_config():
+    # the solver's fields are declared once, on SolverConfig
+    solver_fields = {f.name for f in fields(SolverConfig)}
+    assert issubclass(ExperimentConfig, SolverConfig)
+    assert solver_fields == {"chi", "dt", "t_max", "fp_tol", "fp_max_iters", "tol_deg"}
+    assert not solver_fields & set(ExperimentConfig.__annotations__)
+    assert not hasattr(ExperimentConfig, "solver")
 
 
 def test_config_round_trip(tmp_path):
@@ -352,7 +363,7 @@ def test_failures_record_a_zero_norm_reference_level(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "fkpp_reference", zeroed)
     cfg = ExperimentConfig(problem="fkpp", n_nodes=61, chi=40.0, dt=1e-3, t_max=0.1,
                            nm_list=(4, 6), out_dir=str(tmp_path))
-    assert cfg.solver().n_steps() == 100 and 80 >= harness._CHUNK
+    assert cfg.n_steps() == 100 and 80 >= harness._CHUNK
     report = run_experiment(cfg)
     message = "ValueError: reference solution has zero norm"
     assert report.rows == []
@@ -373,7 +384,7 @@ def test_error_series_matches_per_level_definition(problem, tmp_path, monkeypatc
         cfg.beta_speed, cfg.x0 = 4.0, 0.0
         cfg.dt, cfg.t_max = 2e-3, 0.3
         nm = 10
-    n_steps = cfg.solver().n_steps()
+    n_steps = cfg.n_steps()
     assert n_steps + 1 > 2 * harness._CHUNK  # levels in three chunks
     fem, u0, basis_full, model = harness._setup(cfg, nm)
     trajectories = []
@@ -384,11 +395,11 @@ def test_error_series_matches_per_level_definition(problem, tmp_path, monkeypatc
         return trajectories[-1]
 
     monkeypatch.setattr(harness, "run", recording)
-    track = harness._track(cfg, basis_full, model, u0, nm, None)
+    track = harness._track(cfg, basis_full, model, u0, nm)
     (traj,) = trajectories
     law = model.coefficient_law
     errors = {}
-    scores = harness._score(cfg, fem, u0, {nm: track}, errors, str(tmp_path))
+    scores = harness._score(replace(cfg, out_dir=str(tmp_path)), fem, u0, {nm: track}, errors)
     assert errors == {}
     eps, amp = scores[nm]
     snap_indices = [0, n_steps // 4, n_steps // 2, n_steps]
@@ -400,7 +411,7 @@ def test_error_series_matches_per_level_definition(problem, tmp_path, monkeypatc
 
     # the definition, one level at a time: the same midpoint steps, each
     # generator's Cayley factor applied and Gram-Schmidt at every step
-    solver, eye, h = cfg.solver(), np.eye(nm), 0.5 * cfg.dt
+    eye, h = np.eye(nm), 0.5 * cfg.dt
     state, Q = dynamics.initial_state(track.basis, traj.coeffs[0], model), eye
     for k in range(n_steps + 1):
         ref = harness._exact(cfg, fem.coords, cfg.dt * k)
@@ -412,14 +423,14 @@ def test_error_series_matches_per_level_definition(problem, tmp_path, monkeypatc
             np.testing.assert_array_equal(snaps[k][:, 1], ref)
             np.testing.assert_allclose(snaps[k][:, 2], u, rtol=0, atol=1e-12 * np.abs(u).max())
         if k < n_steps:
-            state, M = dynamics.step_midpoint(state, model, solver)
+            state, M = dynamics.step_midpoint(state, model, cfg)
             np.testing.assert_array_equal(state.coeffs, traj.coeffs[k + 1])
             Q = orthonormalize_g(Q @ np.linalg.solve(eye - h * M, eye + h * M))
 
 
 def reference_levels(cfg, fem):
     """The reference blocks of cfg, checked to follow each other, stacked."""
-    n_steps = cfg.solver().n_steps()
+    n_steps = cfg.n_steps()
     blocks = list(harness._reference_blocks(cfg, fem, None, n_steps))
     assert [start for start, _ in blocks] == list(range(0, n_steps + 1, harness._CHUNK))
     assert all(len(ref) <= harness._CHUNK for _, ref in blocks)
@@ -437,7 +448,7 @@ def test_reference_series_blocks_match_per_level_exact(problem, model):
     # 2501 levels: 39 full blocks and one of 5
     cfg = replace(ExperimentConfig(problem=problem), a=-5.0, b=15.0, n_nodes=101,
                   dt=2e-4, t_max=0.5, **model)
-    n_steps = cfg.solver().n_steps()
+    n_steps = cfg.n_steps()
     assert (n_steps + 1) % harness._CHUNK == 5
     fem = harness._build_space(cfg)
     ref = reference_levels(cfg, fem)
@@ -459,7 +470,7 @@ def test_n_soliton_reference_blocks_are_bounded(monkeypatch):
     k = tuple(1.0 + 0.1 * m for m in range(6))
     cfg = replace(ExperimentConfig(problem="kdv_eigen"), a=-5.0, b=15.0, n_nodes=101,
                   dt=1e-3, t_max=0.02, c_scatter=(1.0,) * 6, k_scatter=k)
-    n_steps = cfg.solver().n_steps()
+    n_steps = cfg.n_steps()
     fem = harness._build_space(cfg)
     ref = reference_levels(cfg, fem)
     assert len(shapes) > 1 and sum(s[0] for s in shapes) == n_steps + 1
@@ -472,7 +483,7 @@ def test_run_never_holds_the_reference_series():
     # 513 levels of 799 nodes: the whole series alone would be 3.28 MB
     cfg = ExperimentConfig(problem="advection", n_nodes=801, chi=60.0, c=0.5,
                            dt=1.0 / 1024, t_max=0.5, nm_list=(4, 6))
-    levels = cfg.solver().n_steps() + 1
+    levels = cfg.n_steps() + 1
     tracemalloc.start()
     try:
         report = run_experiment(cfg)
@@ -499,7 +510,7 @@ def test_each_reference_level_is_evaluated_once(monkeypatch):
     assert len(single) == 1  # the initial condition
     assert len(blocks) > 1
     np.testing.assert_array_equal(np.concatenate(blocks),
-                                  cfg.dt * np.arange(cfg.solver().n_steps() + 1))
+                                  cfg.dt * np.arange(cfg.n_steps() + 1))
 
 
 def test_scoring_arrays_are_bounded_on_a_large_mesh(monkeypatch):
@@ -535,7 +546,7 @@ def test_1d_meshes_keep_chunk_level_blocks(n_nodes, levels):
     assert harness._CHUNK == 64
     cfg = ExperimentConfig(problem="advection", n_nodes=n_nodes, dt=1.0 / 256, t_max=0.5)
     fem = harness._build_space(cfg)
-    blocks = list(harness._reference_blocks(cfg, fem, None, cfg.solver().n_steps()))
+    blocks = list(harness._reference_blocks(cfg, fem, None, cfg.n_steps()))
     assert [start for start, _ in blocks] == [0, levels, 2 * levels]
     assert [len(ref) for _, ref in blocks] == [levels, levels, 129 - 2 * levels]
 
@@ -632,6 +643,33 @@ def test_frobenius_reference_against_itself_vanishes(tmp_path):
     assert by_nm[4][0] > 0.0
     files = set(os.listdir(tmp_path))
     assert "frobenius.csv" in files and "eps_m_nm004.csv" in files
+
+
+def test_frobenius_checks_the_transported_basis(tmp_path, monkeypatch):
+    # modes from the fifth on scaled by 1 + 1e-9: every trajectory with them
+    # ends 2e-9 off G-orthonormal, as in run_experiment
+    solve = harness.solve_schrodinger_eig
+    first_scaled = 4
+
+    def scaled(*args):
+        basis = solve(*args)
+        B = basis.B.copy()
+        B[:, first_scaled:] *= 1.0 + 1e-9
+        return replace(basis, B=B)
+
+    monkeypatch.setattr(harness, "solve_schrodinger_eig", scaled)
+    cfg = ExperimentConfig(problem="advection", n_nodes=61, chi=60.0, c=0.5, dt=1.0 / 16,
+                           t_max=0.25, nm_list=(4, 5), nm_ref=4, out_dir=str(tmp_path))
+    rows, errors = compare_frobenius(cfg)
+    assert rows == [(4, 0.0, 0.0)]
+    assert list(errors) == [5]
+    assert errors[5].startswith("InvariantError: N_M=5: transported basis has ")
+    failures = Path(cfg.out_dir, "failures.txt").read_text()
+    assert failures.startswith("N_M=5: InvariantError: N_M=5: ")
+    # a failed reference fails the run
+    first_scaled = 0
+    with pytest.raises(InvariantError, match="N_M=4: transported basis"):
+        compare_frobenius(replace(cfg, out_dir=None))
 
 
 def test_chi_sweep_collects_all_runs(tmp_path):

@@ -122,6 +122,18 @@ def test_chi_sweep_validates_input(interval, double_gaussian):
         chi_sweep(np.zeros(interval.n_active), [10.0], 4, "eigen", interval)
 
 
+def test_expansions_reject_a_zero_signal_like_chi_sweep():
+    # a relative error of a zero signal is undefined, not a perfect fit
+    fem = assemble(build_uniform_mesh_1d(0.0, 1.0, 101), "neumann")
+    zero = np.zeros(fem.n_active)
+    with pytest.raises(ValueError, match="zero signal"):
+        eigen_expansion(zero, 10.0, 4, fem)
+    with pytest.raises(ValueError, match="zero signal"):
+        soliton_expansion(zero, 10.0, fem)
+    with pytest.raises(ValueError, match="zero signal"):
+        chi_sweep(zero, [10.0], 4, "eigen", fem)
+
+
 def test_read_signal_csv_roundtrip(tmp_path):
     x = np.linspace(0.0, 1.0, 64)
     u = np.sin(2 * np.pi * x)
