@@ -31,11 +31,10 @@ RESIDUAL_TOL = 1e-8
 def use_shift_invert(n_dofs: int, n_modes: int) -> bool:
     """Whether the sparse shift-invert solve serves this request.
 
-    Timed on 1D and 2D P1 meshes with one BLAS thread, the dense solve is as
-    fast or faster up to 200 dofs, and from about a quarter of the spectrum
-    on; at a third, ARPACK takes about twice as long.  The rule turns to the
-    dense solve at a fifth, a little before that crossover.  eigsh also
-    needs n_modes < n_dofs.
+    The dense solve is as fast or faster on a small mesh and for a large
+    share of the spectrum, so the rule turns to it at 200 dofs and at a
+    fifth of the spectrum, a little before the measured crossover.  eigsh
+    also needs n_modes < n_dofs.
     """
     return n_dofs > 200 and 5 * n_modes < n_dofs
 

@@ -313,25 +313,31 @@ def _reference_blocks(cfg: ExperimentConfig, fem, u0, n_steps: int):
     """(start, levels) blocks of the reference nodal solution, in order.
 
     A block has _CHUNK levels, fewer on a mesh of more than _BLOCK_VALUES /
-    _CHUNK dofs.  A closed form is evaluated a block at a time, never stored
-    whole; the n-soliton form holds 2^n arrays of its input, so it fills a
-    block 8 / 2^n of its levels at a time.  FKPP is integrated whole, then
-    sliced into the same blocks.
+    _CHUNK dofs, and no reference is ever stored whole.  A closed form is
+    evaluated a block at a time; the n-soliton form holds 2^n arrays of its
+    input, so it fills a block 8 / 2^n of its levels at a time.  The FKPP
+    integrator's levels are copied into a block as it yields them.
     """
     length = min(_CHUNK, max(1, _BLOCK_VALUES // fem.n_active))
-    starts = range(0, n_steps + 1, length)
     if cfg.problem == "fkpp":
-        ref = fkpp_reference(fem, u0, cfg.nu, cfg.dt, n_steps)
-        for start in starts:
-            yield start, ref[start:start + length]
-        return
-    size = length if cfg.c_scatter is None else max(1, length * 8 // 2 ** len(cfg.c_scatter))
-    times = cfg.dt * np.arange(n_steps + 1)
-    for start in starts:
-        block = times[start:start + length, None]
-        parts = [_exact(cfg, fem.coords, block[sub:sub + size])
-                 for sub in range(0, len(block), size)]
-        yield start, parts[0] if len(parts) == 1 else np.concatenate(parts)
+        levels = fkpp_reference(fem, u0, cfg.nu, cfg.dt, n_steps)
+
+        def block(start, stop):
+            out = np.empty((stop - start, fem.n_active))
+            for row in out:
+                row[:] = next(levels)
+            return out
+    else:
+        size = length if cfg.c_scatter is None else max(1, length * 8 // 2 ** len(cfg.c_scatter))
+        times = cfg.dt * np.arange(n_steps + 1)
+
+        def block(start, stop):
+            t = times[start:stop, None]
+            parts = [_exact(cfg, fem.coords, t[sub:sub + size]) for sub in range(0, len(t), size)]
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    for start in range(0, n_steps + 1, length):
+        yield start, block(start, min(start + length, n_steps + 1))
 
 
 def _make_model(cfg: ExperimentConfig, basis_full):
@@ -417,9 +423,9 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: str, errors: dict | None = N
 
 # time levels evaluated, reconstructed and scored at once, at most _CHUNK and
 # so many that a (levels, N) array of a block holds at most _BLOCK_VALUES
-# values (1 MiB): 64 levels up to 2048 dofs, 22 on the 5776-dof square
+# values (512 KiB): 64 levels up to 1024 dofs, 11 on the 5776-dof square
 _CHUNK = 64
-_BLOCK_VALUES = 2 ** 17
+_BLOCK_VALUES = 2 ** 16
 
 
 # what scoring keeps of a trajectory (dynamics.Trajectory): the modes at
@@ -532,15 +538,17 @@ def compare_frobenius(cfg: ExperimentConfig):
     N_M in nm_list, and reports eps_M(t) = | ||M_N|| - ||M_ref|| | / ||M_ref||
     aggregated in time.  Returns (rows, errors): (nm, mean, max) triples and,
     as in run_experiment, {nm: message}.  A failure at nm_ref fails the run.
+    An nm_ref in nm_list reuses the reference trajectory.
     """
     out_dir = cfg.out_dir
     _, u0, basis_full, model = _setup(cfg, max(max(cfg.nm_list), cfg.nm_ref))
-    ref = _trajectory(cfg, basis_full, model, u0, cfg.nm_ref)[1].frob
+    ref_traj = _trajectory(cfg, basis_full, model, u0, cfg.nm_ref)[1]
+    ref = ref_traj.frob
     if np.any(ref == 0.0):
         raise ValueError("reference residual norm vanishes; eps_M undefined")
 
     def compare(nm):
-        _, traj = _trajectory(cfg, basis_full, model, u0, nm)
+        traj = ref_traj if nm == cfg.nm_ref else _trajectory(cfg, basis_full, model, u0, nm)[1]
         series = np.abs(traj.frob - ref) / ref
         mean = float(np.mean(series))
         log.info("[%s] N_M=%3d  mean eps_M=%.3e", cfg.problem, nm, mean)

@@ -3,12 +3,14 @@
 Closed forms for KdV solitons (one soliton directly, n solitons through
 Hirota's tau-function), and a Crank-Nicolson/Adams-Bashforth finite element
 integrator for the FKPP reaction-diffusion problem.  The closed forms
-broadcast x against t, so one call gives a block of time levels.
+broadcast x against t, so one call gives a block of time levels; the
+integrator yields one level at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -104,7 +106,7 @@ def fkpp_reference(
     nu: float,
     dt: float,
     n_steps: int,
-) -> np.ndarray:
+) -> Iterator[np.ndarray]:
     """Finite element IMEX integration of u_t - laplacian u = nu u(1 - u).
 
     Crank-Nicolson on the diffusion, second-order Adams-Bashforth on the
@@ -112,7 +114,9 @@ def fkpp_reference(
     reaction load <nu u (1 - u), v_i> = nu (G u - <u^2, v_i>) is evaluated
     at the quadrature points, exactly for the cubic integrand, without
     assembling a weighted mass matrix at each step.
-    Returns an (n_steps + 1, n_active) array of nodal values.
+    A generator: it yields the n_steps + 1 levels of nodal values, u0
+    first, and holds no series.  Each level is a new array, which the next
+    step reads, so a caller copies it before writing to it.
     """
     u0_nodal = np.asarray(u0_nodal, dtype=float)
     if u0_nodal.shape != (fem.n_active,):
@@ -126,11 +130,10 @@ def fkpp_reference(
     def reaction(u):
         return nu * (G @ u - square_load(u))
 
-    out = np.empty((n_steps + 1, fem.n_active))
-    out[0] = u0_nodal
     u = u0_nodal.copy()
+    yield u
     f_prev = None
-    for n in range(n_steps):
+    for _ in range(n_steps):
         f = reaction(u)
         if f_prev is None:
             rhs = Bmat @ u + dt * f
@@ -138,5 +141,4 @@ def fkpp_reference(
             rhs = Bmat @ u + dt * (1.5 * f - 0.5 * f_prev)
         u = lhs.solve(rhs)
         f_prev = f
-        out[n + 1] = u
-    return out
+        yield u

@@ -59,18 +59,22 @@ class SymmetricIndex(NamedTuple):
 @lru_cache(maxsize=1)  # a trajectory keeps one mode count; a rebuild takes ms
 def symmetric_index(n: int) -> SymmetricIndex:
     """The (read-only, cached) index maps for n modes."""
-    i, j, k = np.indices((n, n, n)).reshape(3, -1)
-    unique = np.flatnonzero((i <= j) & (j <= k))
-    rank = np.zeros(n**3, dtype=np.intp)
-    rank[unique] = np.arange(unique.size)
-    lo, mid, hi = np.sort(np.stack([i, j, k]), axis=0)
-    unpack = rank[(lo * n + mid) * n + hi]
     rows, cols = np.triu_indices(n)
     pair = np.empty((n, n), dtype=np.intp)
     pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
-    i, j, k = i[unique], j[unique], k[unique]
+    # (i, pair(j, k)) with i <= j, in the row-major order of (i, j, k), and
+    # the packed position of each
+    kept = np.arange(n)[:, None] <= rows
+    rank = np.cumsum(kept, dtype=np.intp).reshape(kept.shape) - 1
+    i, p = np.nonzero(kept)
+    j, k = rows[p], cols[p]
+    # every (a, b, c) unpacks from its sorted indices (lo, mid, hi)
+    a, b, c = np.ogrid[:n, :n, :n]
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+    unpack = rank[lo, pair[a + b + c - lo - hi, hi]].ravel()
     maps = SymmetricIndex(
-        unique=unique,
+        unique=(i * n + j) * n + k,
         unpack=unpack,
         pairs=unpack.reshape(n, n * n)[:, rows * n + cols],
         pair=pair,

@@ -356,9 +356,8 @@ def test_failures_record_a_zero_norm_reference_level(tmp_path, monkeypatch):
     inner = harness.fkpp_reference
 
     def zeroed(*args):
-        series = inner(*args)
-        series[80] = 0.0
-        return series
+        for level, u in enumerate(inner(*args)):
+            yield 0.0 * u if level == 80 else u
 
     monkeypatch.setattr(harness, "fkpp_reference", zeroed)
     cfg = ExperimentConfig(problem="fkpp", n_nodes=61, chi=40.0, dt=1e-3, t_max=0.1,
@@ -480,18 +479,22 @@ def test_n_soliton_reference_blocks_are_bounded(monkeypatch):
 
 
 def test_run_never_holds_the_reference_series():
-    # 513 levels of 799 nodes: the whole series alone would be 3.28 MB
-    cfg = ExperimentConfig(problem="advection", n_nodes=801, chi=60.0, c=0.5,
-                           dt=1.0 / 1024, t_max=0.5, nm_list=(4, 6))
-    levels = cfg.n_steps() + 1
-    tracemalloc.start()
-    try:
-        report = run_experiment(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.errors == {} and [r.nm for r in report.rows] == [4, 6]
-    assert peak < levels * 799 * 8
+    # 513 levels of 799 nodes: the whole series alone would be 3.28 MB,
+    # whether a closed form evaluates it or the FKPP integrator steps it
+    for cfg in (ExperimentConfig(problem="advection", n_nodes=801, chi=60.0, c=0.5,
+                                 dt=1.0 / 1024, t_max=0.5, nm_list=(4, 6)),
+                ExperimentConfig(problem="fkpp", n_nodes=801, chi=40.0, nu=50.0,
+                                 dt=1e-4, t_max=5.12e-2, nm_list=(4, 6))):
+        levels = cfg.n_steps() + 1
+        assert levels == 513
+        tracemalloc.start()
+        try:
+            report = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.errors == {} and [r.nm for r in report.rows] == [4, 6]
+        assert peak < levels * 799 * 8, cfg.problem
 
 
 def test_each_reference_level_is_evaluated_once(monkeypatch):
@@ -514,8 +517,8 @@ def test_each_reference_level_is_evaluated_once(monkeypatch):
 
 
 def test_scoring_arrays_are_bounded_on_a_large_mesh(monkeypatch):
-    # 4096 dofs: blocks of 2^17 / 4096 = 32 levels, three for 71 levels, and
-    # no reference block or reconstruction holds more than 2^17 values
+    # 4096 dofs: blocks of 2^16 / 4096 = 16 levels, five for 71 levels, and
+    # no reference block or reconstruction holds more than 2^16 values
     ref_shapes, nodal_shapes = [], []
     blocks, nodal = harness._reference_blocks, harness.reconstruct_nodal
 
@@ -535,14 +538,14 @@ def test_scoring_arrays_are_bounded_on_a_large_mesh(monkeypatch):
                            dt=5e-4, t_max=3.5e-2, nm_list=(3, 5))
     report = run_experiment(cfg)
     assert report.errors == {} and [r.nm for r in report.rows] == [3, 5]
-    assert ref_shapes == [(32, 4096), (32, 4096), (7, 4096)]
+    assert ref_shapes == [(16, 4096)] * 4 + [(7, 4096)]
     assert sorted(nodal_shapes) == sorted(ref_shapes * 2)
-    assert all(np.prod(shape) <= 2 ** 17 for shape in ref_shapes + nodal_shapes)
+    assert all(np.prod(shape) <= 2 ** 16 for shape in ref_shapes + nodal_shapes)
 
 
-@pytest.mark.parametrize("n_nodes, levels", [(2050, 64), (2051, 63)])
+@pytest.mark.parametrize("n_nodes, levels", [(1026, 64), (1027, 63)])
 def test_1d_meshes_keep_chunk_level_blocks(n_nodes, levels):
-    # up to 2048 dofs a block has _CHUNK = 64 levels; one dof more takes one off
+    # up to 1024 dofs a block has _CHUNK = 64 levels; one dof more takes one off
     assert harness._CHUNK == 64
     cfg = ExperimentConfig(problem="advection", n_nodes=n_nodes, dt=1.0 / 256, t_max=0.5)
     fem = harness._build_space(cfg)
@@ -628,7 +631,16 @@ def test_csv_writer_matches_savetxt(tmp_path, array):
 # residual-norm comparison and sweeps
 
 
-def test_frobenius_reference_against_itself_vanishes(tmp_path):
+def test_frobenius_reference_against_itself_vanishes(tmp_path, monkeypatch):
+    # nm_ref in nm_list: its trajectory is integrated once and reused
+    runs = []
+    inner = harness.run
+
+    def recording(basis, *args):
+        runs.append(basis.n_modes)
+        return inner(basis, *args)
+
+    monkeypatch.setattr(harness, "run", recording)
     cfg = ExperimentConfig(problem="advection")
     cfg.n_nodes = 81
     cfg.chi, cfg.c = 60.0, 0.5
@@ -641,6 +653,7 @@ def test_frobenius_reference_against_itself_vanishes(tmp_path):
     by_nm = {nm: (mean, mx) for nm, mean, mx in rows}
     assert by_nm[8] == (0.0, 0.0)
     assert by_nm[4][0] > 0.0
+    assert runs == [8, 4]
     files = set(os.listdir(tmp_path))
     assert "frobenius.csv" in files and "eps_m_nm004.csv" in files
 

@@ -130,7 +130,7 @@ def test_fkpp_constant_state_follows_logistic():
     errs = []
     for dt in (2e-3, 1e-3):
         n = int(round(t_end / dt))
-        series = fkpp_reference(fem, np.full(fem.n_active, u_init), nu, dt, n)
+        series = np.stack(list(fkpp_reference(fem, np.full(fem.n_active, u_init), nu, dt, n)))
         assert series.shape == (n + 1, fem.n_active)
         errs.append(np.abs(series[-1] - exact).max())
     assert errs[-1] < 1e-5
@@ -142,12 +142,14 @@ def test_fkpp_front_saturates_below_carrying_capacity():
     fem = assemble(build_uniform_mesh_1d(0.0, 1.0, 251), "dirichlet")
     x = fem.coords
     u0 = np.exp(-100.0 * (x - 0.25) ** 2) + np.exp(-100.0 * (x - 0.75) ** 2)
-    series = fkpp_reference(fem, u0, 1.0e3, 7.5e-5, 100)
-    assert np.all(np.isfinite(series))
-    assert series[-1].max() < 1.02
-    assert series[-1].max() > 0.99  # the plateau has formed by t_max
+    levels = list(fkpp_reference(fem, u0, 1.0e3, 7.5e-5, 100))
+    assert len(levels) == 101
+    np.testing.assert_array_equal(levels[0], u0)
+    assert all(np.all(np.isfinite(u)) for u in levels)
+    assert levels[-1].max() < 1.02
+    assert levels[-1].max() > 0.99  # the plateau has formed by t_max
     with pytest.raises(ValueError):
-        fkpp_reference(fem, u0[:-1], 1.0e3, 7.5e-5, 10)
+        next(fkpp_reference(fem, u0[:-1], 1.0e3, 7.5e-5, 10))
 
 
 @pytest.mark.parametrize("space", ["neumann_1d", "square_2d"])

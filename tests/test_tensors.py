@@ -203,6 +203,32 @@ def test_bracket3_matches_index_definition():
     assert np.abs(W - ref).max() < 1e-12 * np.abs(ref).max()
 
 
+def _index_maps_by_sorting(n):
+    """symmetric_index's maps from the (3, n^3) grid of indices and their
+    sort: the direct construction, kept as the oracle."""
+    i, j, k = np.indices((n, n, n)).reshape(3, -1)
+    unique = np.flatnonzero((i <= j) & (j <= k))
+    rank = np.zeros(n**3, dtype=np.intp)
+    rank[unique] = np.arange(unique.size)
+    lo, mid, hi = np.sort(np.stack([i, j, k]), axis=0)
+    unpack = rank[(lo * n + mid) * n + hi]
+    rows, cols = np.triu_indices(n)
+    pair = np.empty((n, n), dtype=np.intp)
+    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
+    i, j, k = i[unique], j[unique], k[unique]
+    return (unique, unpack, unpack.reshape(n, n * n)[:, rows * n + cols], pair,
+            np.stack([i, j, k]) * rows.size + pair[[j, i, i], [k, k, j]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 26, 36, 48])
+def test_symmetric_index_matches_the_sorted_construction(n):
+    maps = symmetric_index(n)
+    for name, got, want in zip(maps._fields, maps, _index_maps_by_sorting(n)):
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+        assert not got.flags.writeable, name
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 7])
 def test_pair_maps(n):
     # Tp[l, pair(j, k)] = T_ljk for j <= k, pair symmetric, and the bracket
