@@ -207,6 +207,29 @@ def _rhs(y: np.ndarray, layout: StateLayout, model: EquationModel, cfg: SolverCo
     )
 
 
+def _closest_pair(start: np.ndarray, last: np.ndarray, layout: StateLayout,
+                  model: EquationModel, cfg: SolverConfig) -> str:
+    """The pair that ``build_M`` leaves unmasked closest to its threshold
+    tol_deg (1 + |lambda_i|) at the step start, with its gap over that
+    threshold and |M_ij| there and at the last half-step iterate.  M_ij
+    grows like the reciprocal of the gap, and a pair that the mask catches
+    on some iterates and not on others keeps the iteration from settling."""
+    at = []
+    for y in (start, last):
+        fields = layout.split(y)
+        lam = fields[1]
+        ratio = np.abs(lam[:, None] - lam) / (cfg.tol_deg * (1.0 + np.abs(lam))[:, None])
+        at.append((ratio, _generator(fields, model, cfg)[2]))
+    (ratio, M), (ratio_last, M_last) = at
+    unmasked = (ratio > 1.0) & _strict_upper(ratio.shape[0])
+    if not unmasked.any():
+        return "no unmasked pair"
+    i, j = np.unravel_index(np.argmin(np.where(unmasked, ratio, np.inf)), ratio.shape)
+    return (f"closest unmasked pair ({i}, {j}): gap {ratio[i, j]:.3g} x its tol_deg "
+            f"threshold and |M_ij| {abs(M[i, j]):.3e} at the step start, "
+            f"{ratio_last[i, j]:.3g} x and {abs(M_last[i, j]):.3e} at the last half-step iterate")
+
+
 def step_midpoint(state: ReducedState, model: EquationModel, cfg: SolverConfig):
     """One implicit midpoint step.
 
@@ -215,7 +238,8 @@ def step_midpoint(state: ReducedState, model: EquationModel, cfg: SolverConfig):
     change drops below cfg.fp_tol relative to the magnitude of the state
     (the eigenvalues grow like chi, so an absolute test would demand more
     than roundoff allows at large chi).  Divergence (NaN) or running out of
-    iterations raises FixedPointError.
+    iterations raises FixedPointError; running out names the closest
+    unmasked eigenvalue pair (``_closest_pair``).
 
     Returns
     -------
@@ -227,7 +251,8 @@ def step_midpoint(state: ReducedState, model: EquationModel, cfg: SolverConfig):
     new = y
     last_delta = np.inf
     for _ in range(cfg.fp_max_iters):
-        prop = y + dt * _rhs(0.5 * (y + new), layout, model, cfg)
+        half = 0.5 * (y + new)
+        prop = y + dt * _rhs(half, layout, model, cfg)
         last_delta = float(np.abs(prop - new).max())
         if not np.isfinite(last_delta):
             raise FixedPointError(f"at t={state.t:.6g}: midpoint iteration diverged")
@@ -236,8 +261,8 @@ def step_midpoint(state: ReducedState, model: EquationModel, cfg: SolverConfig):
             break
     else:
         raise FixedPointError(
-            f"at t={state.t:.6g}: no convergence in {cfg.fp_max_iters} "
-            f"iterations (last delta {last_delta:.3e})"
+            f"at t={state.t:.6g}: no convergence in {cfg.fp_max_iters} iterations "
+            f"(last delta {last_delta:.3e}); {_closest_pair(y, half, layout, model, cfg)}"
         )
     *_, M_half = _generator(layout.split(0.5 * (y + new)), model, cfg)
     return ReducedState(new, state.t + dt, layout), M_half

@@ -3,9 +3,10 @@
 The reduced basis consists of the lowest eigenfunctions of the operator
 L u = -laplacian u - chi * u0 * u built from the initial condition u0.  In
 discrete form this is the generalized symmetric pencil (K - chi W(u0), G)
-with G the mass matrix, so the modes come out G-orthonormal.  A few modes of
-a large mesh come from a sparse shift-invert Lanczos solve (ARPACK); small
-meshes and requests for a large share of the spectrum use a dense solve.
+with G the mass matrix, so the modes come out G-orthonormal.  Every request
+below the full spectrum comes from a sparse shift-invert Lanczos solve
+(ARPACK); only the full spectrum, which ARPACK cannot give, uses a dense
+solve.
 """
 
 from __future__ import annotations
@@ -29,14 +30,9 @@ RESIDUAL_TOL = 1e-8
 
 
 def use_shift_invert(n_dofs: int, n_modes: int) -> bool:
-    """Whether the sparse shift-invert solve serves this request.
-
-    The dense solve is as fast or faster on a small mesh and for a large
-    share of the spectrum, so the rule turns to it at 200 dofs and at a
-    fifth of the spectrum, a little before the measured crossover.  eigsh
-    also needs n_modes < n_dofs.
-    """
-    return n_dofs > 200 and 5 * n_modes < n_dofs
+    """Whether the sparse shift-invert solve serves this request: eigsh
+    needs n_modes < n_dofs, so only the full spectrum goes dense."""
+    return n_modes < n_dofs
 
 
 class EigensolveError(RuntimeError):
@@ -107,7 +103,7 @@ def solve_schrodinger_eig(
         raise ValueError("chi must be positive")
 
     A = fem.stiffness - chi * assemble_weighted_mass(fem, u0_nodal)
-    A = (0.5 * (A + A.T)).tocsc()
+    A = A.tocsc()  # symmetric: assemble symmetrizes K, assemble_weighted_mass W
     G = fem.mass.tocsc()
     if use_shift_invert(fem.n_active, n_modes):
         # K is positive semidefinite and W(u0) <= max(u0) G, so sigma lies

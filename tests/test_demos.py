@@ -1,4 +1,7 @@
-"""Every name a demo imports from laxrom exists, checked without running it."""
+"""Every demo runs to exit 0, and every name it imports from laxrom exists.
+
+The runs go through the child lane (``conftest.ChildLane``), beside the
+other tests; the import check needs no run."""
 
 import ast
 import importlib
@@ -27,3 +30,9 @@ def test_demo_imports_exist(demo):
     missing = [f"{module}.{name}" for module, name in imported
                if not hasattr(importlib.import_module(module), name)]
     assert not missing
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, child_lane):
+    status, stderr = child_lane.result(demo.name)
+    assert status == 0, stderr

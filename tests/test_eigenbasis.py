@@ -156,6 +156,15 @@ def test_shift_invert_matches_dense_1d(monkeypatch):
     np.testing.assert_allclose(sparse.B, dense.B, rtol=0.0, atol=1e-8)
 
 
+def test_shift_invert_matches_dense_on_a_large_share_of_a_small_mesh(monkeypatch):
+    # 121 dofs and a third of their spectrum
+    fem = assemble(build_uniform_mesh_1d(0.0, 1.0, 121), "neumann")
+    assert fem.n_active == 121
+    u0 = np.exp(-100 * (fem.coords - 0.4) ** 2)
+    sparse, dense = _dense_and_sparse(monkeypatch, fem, u0, 150.0, 40)
+    np.testing.assert_allclose(sparse.B, dense.B, rtol=0.0, atol=1e-8)
+
+
 def test_shift_invert_symmetric_double_well(monkeypatch):
     # the fkpp1d preset: the mesh and u0 share the reflection x -> 1 - x and
     # the lowest modes come in near-degenerate even/odd pairs, so a start
@@ -189,12 +198,11 @@ def test_shift_invert_matches_dense_2d_clusters(monkeypatch):
 
 
 def test_shift_invert_threshold():
-    assert not use_shift_invert(199, 5)      # the unit-test interval
-    assert not use_shift_invert(200, 5)
-    assert use_shift_invert(201, 5)
+    # eigsh serves every request below the full spectrum
+    assert use_shift_invert(199, 5)          # the unit-test interval
+    assert use_shift_invert(600, 120)        # a fifth of the spectrum
     assert use_shift_invert(5776, 30)        # the 2D preset
-    assert use_shift_invert(600, 119)
-    assert not use_shift_invert(600, 120)    # a fifth of the spectrum
+    assert use_shift_invert(500, 499)
     assert not use_shift_invert(500, 500)    # the full spectrum
 
 
