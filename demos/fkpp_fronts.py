@@ -5,7 +5,7 @@ of the attached operator moves (mass is created), so this is the test of
 the method away from its isospectral comfort zone.  The eigenvalue law
 and the basis rotation both come out of the same projected dynamics.
 
-Run:  python demos/fkpp_fronts.py        (about a minute)
+Run:  python demos/fkpp_fronts.py        (about 1 s)
 """
 
 import numpy as np

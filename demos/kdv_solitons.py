@@ -7,7 +7,7 @@ the solution as u = sum_j alpha_j phi_j^2 with alpha_j = 4 sqrt(-lambda_j)
 constant in time.  This script shows both representations on the speed-4
 soliton, then the spectrum of the three-soliton collision datum.
 
-Run:  python demos/kdv_solitons.py        (about a minute)
+Run:  python demos/kdv_solitons.py        (about 5 s)
 """
 
 import numpy as np

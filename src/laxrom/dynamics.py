@@ -34,7 +34,7 @@ import numpy as np
 
 from .eigenbasis import ReducedBasis
 from .models import EquationModel
-from .reconstruct import InvariantError, rotations
+from .reconstruct import InvariantError, rotation_step
 from .tensors import (
     assemble_D,
     assemble_D3,
@@ -326,7 +326,7 @@ class Trajectory:
         return self.frob.shape[0]
 
 
-# steps whose basis rotations are advanced together (one batched solve)
+# steps between re-orthonormalizations of the basis rotation
 _BLOCK = 64
 
 
@@ -338,7 +338,8 @@ def run(
 ) -> Trajectory:
     """Integrate the reduced system over [0, t_max].
 
-    The basis rotation advances _BLOCK steps at a time (``rotations``).  A
+    The basis rotation advances with each step (``rotation_step``) and is
+    re-orthonormalized every _BLOCK steps and at the last one.  A
     FixedPointError or InvariantError is raised again with the mode count
     and the index of the failed step prefixed to its message.
     """
@@ -355,7 +356,6 @@ def run(
     lambdas = np.empty((n_steps + 1, n))
     frame = np.empty((n_steps + 1, n) if standard else (n_steps + 1, n, p))
     frob = np.empty(n_steps)
-    m_block = np.empty((_BLOCK, n, n))
 
     times[0] = 0.0
     coeffs[0] = state.coeffs
@@ -371,15 +371,12 @@ def run(
         times[k + 1] = state.t
         coeffs[k + 1] = state.coeffs
         lambdas[k + 1] = state.lam
-        m_block[k % _BLOCK] = M
         frob[k] = np.sqrt(frobenius_norm_sq(M))
-        if k % _BLOCK == _BLOCK - 1 or k == n_steps - 1:
-            try:
-                Qs = rotations(Q, m_block[:k % _BLOCK + 1], cfg.dt)
-            except InvariantError as exc:
-                raise InvariantError(f"N_M={n} step {k}: {exc}") from None
-            rows, Q, Qp = slice(k + 2 - len(Qs), k + 2), Qs[-1], Qs[:, :, :p]
-            frame[rows] = (Qp @ coeffs[rows, :, None])[..., 0] if standard else Qp
+        try:
+            Q = rotation_step(Q, M, cfg.dt, k % _BLOCK == _BLOCK - 1 or k == n_steps - 1)
+        except InvariantError as exc:
+            raise InvariantError(f"N_M={n} step {k}: {exc}") from None
+        frame[k + 1] = Q[:, :p] @ coeffs[k + 1] if standard else Q[:, :p]
     return Trajectory(
         times=times,
         coeffs=coeffs,

@@ -167,6 +167,8 @@ def _check(cfg: ExperimentConfig) -> None:
         raise ValueError(f"fp_tol must be positive, got {cfg.fp_tol:g}")
     if cfg.fp_max_iters < 1:
         raise ValueError(f"fp_max_iters must be at least 1, got {cfg.fp_max_iters}")
+    if not cfg.tol_deg >= 0.0:  # NaN too
+        raise ValueError(f"[solver] tol_deg must be at least 0, got {cfg.tol_deg:g}")
     chis = (cfg.chi,) + cfg.chi_grid
     if min(chis) <= 0.0:
         raise ValueError(f"chi must be positive, got {min(chis):g}")

@@ -2,11 +2,11 @@
 
 The nodal modes follow dB/dt = B M with an n x n skew generator M, so the
 modes at time level k are B_k = B_0 Q_k with Q_k an n x n rotation, and no
-nodal array has to be stepped.  ``rotations`` advances Q over a block of
-steps by the Crank-Nicolson (Cayley) update  Q+ = Q C,  C = (I - dt/2 M)^-1
-(I + dt/2 M), which preserves orthogonality exactly for skew M; a block
-Gram-Schmidt (through the Cholesky factor of the Gram matrix) of the
-block's last rotation stops roundoff drift from accumulating.
+nodal array has to be stepped.  ``rotation_step`` advances Q by one
+Crank-Nicolson (Cayley) update  Q+ = Q C,  C = (I - dt/2 M)^-1 (I + dt/2 M),
+which preserves orthogonality exactly for skew M; a block Gram-Schmidt
+(through the Cholesky factor of the Gram matrix), which the caller asks for
+every so many steps, stops roundoff drift from accumulating.
 ``propagate_basis`` maps a rotation to the nodal modes B_0 Q and checks
 that they are G-orthonormal.
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from .eigenbasis import ReducedBasis
 
-__all__ = ["InvariantError", "rotations", "propagate_basis", "reconstruct_nodal",
+__all__ = ["InvariantError", "rotation_step", "propagate_basis", "reconstruct_nodal",
            "orthonormalize_g"]
 
 # bound on |Q^T Q - I| of a rotation and |B^T G B - I| of a transported basis
@@ -50,30 +50,28 @@ def orthonormalize_g(B: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L, B.T).T
 
 
-def rotations(Q: np.ndarray, m_block: np.ndarray, dt: float) -> np.ndarray:
-    """The rotations after each step of one block, shape (steps, n, n).
+def rotation_step(Q: np.ndarray, M: np.ndarray, dt: float, renormalize: bool) -> np.ndarray:
+    """The rotation ``Q`` (n, n) after one step with the generator ``M``.
 
-    Starting from the rotation ``Q`` (n, n), entry j is Q C_0 ... C_j, with
-    C_j the Cayley factor of the generator ``m_block[j]``; the factors of
-    the block come from one batched solve.  The last entry, which seeds the
-    next block, is re-orthonormalized; InvariantError is raised first when
-    it is off orthonormal by more than ORTHONORMALITY_TOL.
+    Returns Q C, with C the Cayley factor of M.  With ``renormalize``,
+    InvariantError is raised when Q C is off orthonormal by more than
+    ORTHONORMALITY_TOL, and otherwise it is re-orthonormalized.
     """
     h = 0.5 * dt
     eye = np.eye(Q.shape[0])
-    out = np.linalg.solve(eye - h * m_block, eye + h * m_block)
-    for C in out:  # in place: each factor becomes the rotation after its step
-        Q = Q @ C
-        C[...] = Q
+    Q = Q @ np.linalg.solve(eye - h * M, eye + h * M)
+    if not renormalize:
+        return Q
     dev = float(np.abs(Q.T @ Q - eye).max())
     if not dev <= ORTHONORMALITY_TOL:
         raise InvariantError(f"rotation has |Q^T Q - I| = {dev:.3e}, above {ORTHONORMALITY_TOL:g}")
-    out[-1] = orthonormalize_g(Q)
-    return out
+    # orthonormalize_g returns a transposed array; the next product must see
+    # C order, or BLAS takes another path and the last digits move
+    return np.ascontiguousarray(orthonormalize_g(Q))
 
 
 def propagate_basis(basis: ReducedBasis, Q: np.ndarray) -> ReducedBasis:
-    """The modes B Q after the rotation ``Q`` (see ``rotations``).
+    """The modes B Q after the rotation ``Q`` (see ``rotation_step``).
 
     Raises InvariantError when they are not G-orthonormal to
     ORTHONORMALITY_TOL.

@@ -35,7 +35,7 @@ from laxrom import (
     kdv_n_soliton,
     kdv_one_soliton,
     load_config,
-    rotations,
+    rotation_step,
     run,
     run_experiment,
     run_scsa,
@@ -355,12 +355,13 @@ def test_criterion_09_property_suite(acceptance_log):
     checks["||T||_F per step <= 10*fp_tol"] = worst <= 10.0 * cfg.fp_tol
 
     # the transported basis B_0 Q_k, where Q_k is an n x n rotation
-    # advanced a block of steps at a time, as the reduced run does
+    # advanced one step at a time and re-orthonormalized every block of
+    # steps, as the reduced run does
     q_dev = ortho_dev = 0.0
     Qs = [np.eye(6)]
-    for start in range(0, len(m_steps), dynamics._BLOCK):
-        block = np.array(m_steps[start:start + dynamics._BLOCK])
-        Qs.extend(rotations(Qs[-1], block, cfg.dt))
+    for k, M in enumerate(m_steps):
+        renormalize = k % dynamics._BLOCK == dynamics._BLOCK - 1 or k == len(m_steps) - 1
+        Qs.append(rotation_step(Qs[-1], M, cfg.dt, renormalize))
     assert len(Qs) == cfg.n_steps() + 1
     for Q in Qs:
         q_dev = max(q_dev, float(np.abs(Q.T @ Q - np.eye(6)).max()))

@@ -165,6 +165,10 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
          "nm_ref must be at least 1, got 0"),
         ("run", ADVECTION_INI + "[solver]\nfp_tol = 0\n", "fp_tol must be positive"),
         ("run", ADVECTION_INI + "[solver]\nfp_tol = -1e-9\n", "fp_tol must be positive"),
+        ("run", ADVECTION_INI + "[solver]\ntol_deg = -1\n",
+         f"{path}: [solver] tol_deg must be at least 0, got -1"),
+        ("run", ADVECTION_INI + "[solver]\ntol_deg = nan\n",
+         f"{path}: [solver] tol_deg must be at least 0, got nan"),
         ("run", kdv3.replace("k_scatter = 1.0 1.5 1.75", "k_scatter = 1.0 1.5"),
          "c_scatter and k_scatter must be given together"),
         ("run", kdv3.replace("c_scatter = 0.05 0.15 10.0", "c_scatter = 0.05 -0.15 10.0"),

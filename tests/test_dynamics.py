@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,19 +220,46 @@ def test_run_reports_rotation_off_orthonormal(small_advection):
         run(basis, beta, NonSkew(0.5), cfg)
 
 
-def test_trajectory_keeps_no_per_step_matrices():
-    # at 36 modes the arrays of a trajectory stay far below one n x n
-    # matrix per step
+@pytest.fixture(scope="module")
+def advection_36():
+    """A 36-mode advection basis, its coefficients and a 128-step config."""
     fem = assemble(build_uniform_mesh_1d(0.0, 1.0, 121), "dirichlet")
     u0 = np.exp(-250.0 * (fem.coords - 0.25) ** 2)
     basis = solve_schrodinger_eig(fem, u0, 60.0, 36)
     beta, _ = initial_projection(basis, u0)
-    cfg = SolverConfig(chi=60.0, dt=1.0 / 256, t_max=0.5)
-    traj = run(basis, beta, AdvectionModel(0.5), cfg)
-    n, n_steps = 36, cfg.n_steps()
+    return basis, beta, SolverConfig(chi=60.0, dt=1.0 / 256, t_max=0.5)
+
+
+def _trajectory_bytes(traj):
     arrays = [getattr(traj, f.name) for f in dataclasses.fields(traj)]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)] + [traj.first.y, traj.last.y]
-    assert sum(a.nbytes for a in arrays) < n_steps * n * n * 8 / 4
+    return sum(a.nbytes for a in arrays)
+
+
+def test_trajectory_keeps_no_per_step_matrices(advection_36):
+    # at 36 modes the arrays of a trajectory stay far below one n x n
+    # matrix per step
+    basis, beta, cfg = advection_36
+    traj = run(basis, beta, AdvectionModel(0.5), cfg)
+    n, n_steps = 36, cfg.n_steps()
+    assert _trajectory_bytes(traj) < n_steps * n * n * 8 / 4
+
+
+def test_run_holds_no_block_of_rotations(advection_36):
+    # the rotation advances one step at a time, so what a run allocates
+    # beyond the trajectory it returns stays below two (64, n, n) arrays
+    basis, beta, cfg = advection_36
+    model = AdvectionModel(0.5)
+    initial_state(basis, beta, model)  # T is assembled once, outside the span
+    tracemalloc.start()
+    try:
+        traj = run(basis, beta, model, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = basis.n_modes
+    assert cfg.n_steps() == 2 * dynamics._BLOCK
+    assert peak - _trajectory_bytes(traj) < 2 * dynamics._BLOCK * n * n * 8
 
 
 def test_run_keeps_initial_state_intact(small_advection):

@@ -147,6 +147,9 @@ def test_config_round_trip(tmp_path):
     assert cfg.c_scatter == (0.05, 0.15) and cfg.k_scatter == (1.0, 1.5)
     assert cfg.signal == "signal.csv" and cfg.chi_grid == (10.0, 20.5)
     assert cfg.n_modes_cap == 7 and cfg.methods == ("eigen",)
+    # tol_deg = 0 masks only exact degeneracies and is valid; below 0 is not
+    zero = write_config(tmp_path, ROUND_TRIP.replace("tol_deg = 1e-7", "tol_deg = 0"), "zero.ini")
+    assert load_config(zero).tol_deg == 0.0
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -13,7 +13,7 @@ from laxrom import (
     orthonormalize_g,
     propagate_basis,
     reconstruct_nodal,
-    rotations,
+    rotation_step,
     solve_schrodinger_eig,
 )
 
@@ -30,6 +30,15 @@ def random_skew(n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     return A - A.T
+
+
+def chain(Q, gens, dt):
+    """The rotations after each step from ``Q``, re-orthonormalized at the last."""
+    out = []
+    for j, M in enumerate(gens):
+        Q = rotation_step(Q, M, dt, renormalize=j == len(gens) - 1)
+        out.append(Q)
+    return np.array(out)
 
 
 def orthonormal_columns(n_rows, n_cols, seed):
@@ -71,7 +80,7 @@ def test_gram_schmidt_rejects_rank_deficient_columns():
 
 
 def test_identity_generator_leaves_basis_fixed(basis):
-    Qs = rotations(np.eye(6), np.zeros((3, 6, 6)), dt=0.05)
+    Qs = chain(np.eye(6), np.zeros((3, 6, 6)), dt=0.05)
     assert Qs.shape == (3, 6, 6)
     for Q in Qs:
         assert np.array_equal(Q, np.eye(6))
@@ -83,7 +92,7 @@ def test_identity_generator_leaves_basis_fixed(basis):
 def test_propagation_preserves_g_orthonormality(basis):
     G = basis.fem.mass
     M = random_skew(6, seed=3)
-    Qs = rotations(np.eye(6), np.repeat(M[None], 40, axis=0), dt=0.02)
+    Qs = chain(np.eye(6), np.repeat(M[None], 40, axis=0), dt=0.02)
     assert Qs.shape == (40, 6, 6)
     for Q in Qs:
         assert np.abs(Q.T @ Q - np.eye(6)).max() < 1e-10
@@ -96,7 +105,7 @@ def test_cayley_step_is_second_order_in_dt(basis):
     M = random_skew(6, seed=11)
 
     def err(dt):
-        [stepped] = rotations(np.eye(6), M[None], dt)
+        stepped = rotation_step(np.eye(6), M, dt, renormalize=True)
         exact = orthonormalize_g(expm(dt * M))
         return np.abs(stepped - exact).max()
 
@@ -110,12 +119,12 @@ def test_propagation_checks_generator_shape(basis):
 
 
 def test_block_rotations_match_stepwise_gram_schmidt():
-    # one block from a rotated start, against a Cayley step followed by
-    # Gram-Schmidt at every step
+    # one block of steps from a rotated start, re-orthonormalized at its
+    # end, against a Cayley step followed by Gram-Schmidt at every step
     dt, eye = 0.02, np.eye(6)
     gens = np.array([random_skew(6, seed=s) for s in range(64)])
     Q0 = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 6)))[0]
-    Qs = rotations(Q0, gens, dt)
+    Qs = chain(Q0, gens, dt)
     Q = Q0
     for M, got in zip(gens, Qs):
         Q = orthonormalize_g(Q @ np.linalg.solve(eye - 0.5 * dt * M, eye + 0.5 * dt * M))
@@ -128,8 +137,8 @@ def test_rotation_off_orthonormal_raises():
     # a symmetric part in the generator makes Cayley factors that are not rotations
     M = random_skew(6, seed=8) + 1e-6 * np.eye(6)
     with pytest.raises(InvariantError, match="Q\\^T Q - I"):
-        rotations(np.eye(6), np.repeat(M[None], 5, axis=0), dt=0.01)
-    rotations(np.eye(6), np.repeat(random_skew(6, seed=8)[None], 5, axis=0), dt=0.01)
+        chain(np.eye(6), np.repeat(M[None], 5, axis=0), dt=0.01)
+    chain(np.eye(6), np.repeat(random_skew(6, seed=8)[None], 5, axis=0), dt=0.01)
 
 
 def test_transported_basis_off_g_orthonormal_raises(basis):
@@ -154,7 +163,7 @@ def test_soliton_reconstruction_squares_the_modes(basis):
     assert np.allclose(u, 2.0 * basis.B[:, 0] ** 2 + 0.5 * basis.B[:, 1] ** 2)
     # with a frame per level the modes are the columns of B Q[:, :p]
     gens = np.repeat(random_skew(6, seed=2)[None], 3, axis=0)
-    Qs = np.concatenate([np.eye(6)[None], rotations(np.eye(6), gens, dt=0.1)])
+    Qs = np.concatenate([np.eye(6)[None], chain(np.eye(6), gens, dt=0.1)])
     frames = Qs[:, :, :2]
     stack = reconstruct_nodal(basis, np.tile(coeffs, (4, 1)), "soliton", frames)
     for Q, row in zip(Qs, stack):
