@@ -53,7 +53,7 @@ print(f"bound-state form: {nb} modes available, error {sol_err:.2f} "
 
 # --- chi is a tuning knob; sweep it ---------------------------------------
 
-res = chi_sweep(shifted, (50.0, 150.0, 250.0, 400.0), 20, "eigen", fem)
+res = chi_sweep(shifted, (50.0, 150.0, 250.0, 400.0), 20, fem, methods=("eigen",))["eigen"]
 print("\nbest chi per mode budget (eigen method):")
 for n, chi, err in res.best[4::5]:
     print(f"  {int(n):3d} modes: chi={chi:g}  error {err:.2e}")

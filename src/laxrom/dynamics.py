@@ -303,7 +303,7 @@ def initial_state(basis: ReducedBasis, coeffs0: np.ndarray, model: EquationModel
 class Trajectory:
     """Reduced trajectory stored as arrays.
 
-    ``times``/``coeffs``/``lambdas``/``frame`` have one row per time level,
+    ``times``/``coeffs``/``frame`` have one row per time level,
     ``frob`` (Frobenius norm of M) one entry per step, evaluated at the
     converged half steps.  ``frame`` holds each level in the frame of the
     initial modes B_0: a_k = Q_k c_k (standard law) or the p columns
@@ -314,7 +314,6 @@ class Trajectory:
 
     times: np.ndarray
     coeffs: np.ndarray
-    lambdas: np.ndarray
     frame: np.ndarray
     rotation: np.ndarray
     frob: np.ndarray
@@ -353,13 +352,11 @@ def run(
 
     times = np.empty(n_steps + 1)
     coeffs = np.empty((n_steps + 1, p))
-    lambdas = np.empty((n_steps + 1, n))
     frame = np.empty((n_steps + 1, n) if standard else (n_steps + 1, n, p))
     frob = np.empty(n_steps)
 
     times[0] = 0.0
     coeffs[0] = state.coeffs
-    lambdas[0] = state.lam
     Q = np.eye(n)
     frame[0] = coeffs[0] if standard else Q[:, :p]
     first = state
@@ -370,7 +367,6 @@ def run(
             raise FixedPointError(f"N_M={n} step {k} {exc}") from None
         times[k + 1] = state.t
         coeffs[k + 1] = state.coeffs
-        lambdas[k + 1] = state.lam
         frob[k] = np.sqrt(frobenius_norm_sq(M))
         try:
             Q = rotation_step(Q, M, cfg.dt, k % _BLOCK == _BLOCK - 1 or k == n_steps - 1)
@@ -380,7 +376,6 @@ def run(
     return Trajectory(
         times=times,
         coeffs=coeffs,
-        lambdas=lambdas,
         frame=frame,
         rotation=Q,
         frob=frob,

@@ -3,7 +3,8 @@
 Drives the full pipeline (mesh, eigenbasis, reduced integration, nodal
 reconstruction, reference comparison) for the benchmark problems and
 writes their error tables, per-time error series, solution snapshots and a
-run manifest.  Everything is deterministic: no randomness, no timestamps.
+run manifest.  Everything is deterministic: the one random draw, the
+eigensolver's start vector, is seeded, and nothing records a timestamp.
 """
 
 from __future__ import annotations
@@ -573,8 +574,9 @@ def run_scsa(cfg: ExperimentConfig):
     """Static signal study: chi sweep of the spectral representations.
 
     The signal (builtin double Gaussian or a CSV file) is shifted
-    nonnegative, then each requested method is swept over chi_grid.
-    Writes sweep_<method>.csv, best_<method>.csv and summary.csv.
+    nonnegative, then swept over chi_grid; one eigensolve per chi serves
+    every requested method.  Writes sweep_<method>.csv, best_<method>.csv
+    and summary.csv.
     """
     if not cfg.chi_grid:
         raise ValueError("scsa needs a chi_grid")
@@ -592,11 +594,9 @@ def run_scsa(cfg: ExperimentConfig):
     u_shifted, offset = shift_nonnegative(u)
     log.info("[scsa] signal %r: %d samples, offset %.3e", cfg.signal, u.size, offset)
 
-    results = {}
-    for method in cfg.methods:
-        res = chi_sweep(u_shifted, cfg.chi_grid, cfg.n_modes_cap, method, fem,
-                        tol_deg=cfg.tol_deg)
-        results[method] = res
+    results = chi_sweep(u_shifted, cfg.chi_grid, cfg.n_modes_cap, fem,
+                        methods=cfg.methods, tol_deg=cfg.tol_deg)
+    for method, res in results.items():
         n, chi_b, err_b = res.best[-1]
         log.info("[scsa] %s: best at cap n=%d: chi=%g err=%.3e", method, n, chi_b, err_b)
         if out_dir is not None:
@@ -604,13 +604,10 @@ def run_scsa(cfg: ExperimentConfig):
             _save_csv(out_dir, f"best_{method}.csv", "n_modes,chi,error", np.array(res.best))
     if out_dir is not None:
         if len(results) > 1:
-            caps = [np.array(res.best) for res in results.values()]
-            combined = caps[0][:, :1]
-            header = ["n_modes"]
-            for method, arr in zip(results, caps):
-                combined = np.column_stack([combined, arr[:, 1:]])
-                header += [f"chi_{method}", f"err_{method}"]
-            _save_csv(out_dir, "summary.csv", ",".join(header), combined)
+            header = ["n_modes"] + [f"{col}_{m}" for m in results for col in ("chi", "err")]
+            combined = np.column_stack([np.array(res.best)[:, 1:] for res in results.values()])
+            _save_csv(out_dir, "summary.csv", ",".join(header),
+                      np.column_stack([np.arange(1, cfg.n_modes_cap + 1), combined]))
         _write_manifest(cfg, out_dir)
     return results
 

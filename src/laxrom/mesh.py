@@ -1,8 +1,8 @@
 """P1 finite element meshes and assembled operators.
 
 Uniform 1D intervals and structured 2D triangulations of the unit square,
-with the mass, stiffness and convection matrices the rest of the package
-consumes.  Homogeneous Dirichlet conditions are imposed by row/column
+with the mass and stiffness matrices and the quadrature the rest of the
+package consumes.  Homogeneous Dirichlet conditions are imposed by row/column
 elimination so generalized eigenproblems stay symmetric; under Neumann every
 node is kept.
 """
@@ -139,14 +139,13 @@ class FemOperators:
     """Assembled P1 operators restricted to the active (non-eliminated) nodes.
 
     ``mass`` is the Grammian of the hat-function basis, ``stiffness`` the
-    Laplacian form, ``convection`` the first-derivative form (1D only).
+    Laplacian form.
     ``active`` holds the indices of the retained nodes in the full mesh.
     """
 
     mesh: Mesh1D | TriMesh
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
-    convection: sp.csr_matrix | None
     active: np.ndarray
     _quad: tuple | None = field(default=None, repr=False)
 
@@ -204,31 +203,24 @@ def active_nodes(mesh: Mesh1D | TriMesh, bc: str) -> np.ndarray:
 
 
 def assemble(mesh: Mesh1D | TriMesh, bc: str = DIRICHLET) -> FemOperators:
-    """Assemble mass/stiffness (and convection in 1D) for the given mesh.
+    """Assemble mass and stiffness for the given mesh.
 
     Parameters
     ----------
     mesh : Mesh1D or TriMesh
     bc : "dirichlet" or "neumann"
         Dirichlet eliminates boundary rows and columns, which keeps every
-        returned matrix symmetric (convection exactly skew on the interior).
+        returned matrix symmetric.
 
     Returns
     -------
     FemOperators
     """
     active = active_nodes(mesh, bc)
-    if mesh.dim == 1:
-        G, K, C = _assemble_1d(mesh)
-    else:
-        G, K = _assemble_2d(mesh)
-        C = None
-
+    G, K = _assemble_1d(mesh) if mesh.dim == 1 else _assemble_2d(mesh)
     sel = np.ix_(active, active)
     G = G.tocsr()[sel].tocsr()
     K = K.tocsr()[sel].tocsr()
-    if C is not None:
-        C = C.tocsr()[sel].tocsr()
     # exact symmetry (assembly is symmetric up to summation order)
     G = ((G + G.T) * 0.5).tocsr()
     K = ((K + K.T) * 0.5).tocsr()
@@ -236,7 +228,6 @@ def assemble(mesh: Mesh1D | TriMesh, bc: str = DIRICHLET) -> FemOperators:
         mesh=mesh,
         mass=G,
         stiffness=K,
-        convection=C,
         active=active,
     )
 
@@ -272,14 +263,11 @@ def _assemble_1d(mesh: Mesh1D):
 
     mass = np.concatenate([h / 3.0, h / 6.0, h / 6.0, h / 3.0])
     stiff = np.concatenate([1.0 / h, -1.0 / h, -1.0 / h, 1.0 / h])
-    half = np.full(n - 1, 0.5)
-    conv = np.concatenate([-half, half, -half, half])
 
     shape = (n, n)
     G = sp.coo_matrix((mass, (rows, cols)), shape=shape)
     K = sp.coo_matrix((stiff, (rows, cols)), shape=shape)
-    C = sp.coo_matrix((conv, (rows, cols)), shape=shape)
-    return G, K, C
+    return G, K
 
 
 def _assemble_2d(mesh: TriMesh):

@@ -3,9 +3,9 @@
 A nonnegative signal u can be encoded through the spectrum of
 -d2/dx2 - chi u: either as a plain projection on the first eigenmodes, or
 through the squared bound-state modes weighted by sqrt(-lambda) (the
-reflectionless-potential reconstruction).  Includes the chi sweep used to
-pick the sharpest representation at a given mode budget, and a small CSV
-reader for sampled signals.
+reflectionless-potential reconstruction), two readings of one spectrum.
+The chi sweep scores both from one eigensolve per chi to pick the sharpest
+representation at a given mode budget.  Also a small CSV signal reader.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ def _bound_states(u_nodal: np.ndarray, chi: float, fem: FemOperators, tol_deg: f
 
     Asks for 8 states and doubles the request, up to the dof count, until
     the highest eigenvalue returned is no longer bound, so only the bound
-    states and a few more are solved for.
+    states and a few more are solved for (``chi_sweep`` has a mode cap and
+    needs no search).
     """
     k = min(8, fem.n_active)
     while True:
@@ -115,22 +116,24 @@ def chi_sweep(
     u_nodal: np.ndarray,
     chi_grid,
     n_modes_cap: int,
-    method: str,
     fem: FemOperators,
+    methods=METHODS,
     tol_deg: float = 1e-8,
-) -> SweepResult:
+) -> dict:
     """Representation error as a function of chi and the mode budget.
 
-    method="eigen": error of the n-mode projection for n = 1..cap, from one
-    eigensolve per chi; each residual ||u - partial_n|| is measured directly
-    on the cumulative partial sums, since the Parseval remainder
-    ||u||^2 - sum beta_j^2 cancels to zero once the error falls below ~1e-8.
-    method="soliton": error of the partial bound-state sum truncated to the
-    n deepest states (values for n beyond the bound-state count repeat the
-    full sum).
+    One eigensolve per chi, of the ``n_modes_cap`` lowest modes, serves
+    every method: the deepest bound states are the lowest modes.
+    "eigen": error of the n-mode projection for n = 1..cap; each residual
+    ||u - partial_n|| is measured directly on the cumulative partial sums,
+    since the Parseval remainder ||u||^2 - sum beta_j^2 cancels to zero
+    once the error falls below ~1e-8.
+    "soliton": error of the bound-state sum truncated to the n deepest
+    states (for n beyond the bound-state count, the full sum).
+    Returns {method: SweepResult} in the order of ``methods``.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
+    if not set(methods) <= set(METHODS):
+        raise ValueError(f"methods must be among {METHODS}, got {methods}")
     u_nodal = np.asarray(u_nodal, dtype=float)
     cap = int(n_modes_cap)
     if not 1 <= cap <= fem.n_active:
@@ -139,28 +142,28 @@ def chi_sweep(
     if unorm == 0.0:
         raise ValueError("zero signal")
 
-    rows = []
+    rows = {method: [] for method in methods}
     for chi in (float(c) for c in chi_grid):
-        if method == "eigen":
-            basis = solve_schrodinger_eig(fem, u_nodal, chi, cap)
-            beta, _ = initial_projection(basis, u_nodal)
-            parts = basis.B * beta[None, :]
-        else:
-            kappa, phi = _bound_states(u_nodal, chi, fem, tol_deg)
-            parts = (4.0 / chi) * (phi**2) * kappa[None, :]
-        # column n - 1 holds the n-term approximation
-        partial = np.cumsum(parts[:, :cap], axis=1)
-        for n in range(1, cap + 1):
-            m = min(n, partial.shape[1])
-            approx = partial[:, m - 1] if m else np.zeros_like(u_nodal)
-            rows.append((chi, n, fem.norm(u_nodal - approx) / unorm))
+        basis = solve_schrodinger_eig(fem, u_nodal, chi, cap)
+        for method, sweep in rows.items():
+            if method == "eigen":
+                parts = basis.B * initial_projection(basis, u_nodal)[0]
+            else:
+                neg = basis.lam < -tol_deg
+                parts = (4.0 / chi) * basis.B[:, neg] ** 2 * np.sqrt(-basis.lam[neg])
+            # column n holds the n-term approximation
+            partial = np.cumsum(np.column_stack([np.zeros_like(u_nodal), parts]), axis=1)
+            for n in range(1, cap + 1):
+                approx = partial[:, min(n, partial.shape[1] - 1)]
+                sweep.append((chi, n, fem.norm(u_nodal - approx) / unorm))
 
-    best = []
-    for n in range(1, cap + 1):
-        sub = [(chi, err) for chi, nn, err in rows if nn == n]
-        chi_best, err_best = min(sub, key=lambda t: t[1])
-        best.append((n, chi_best, err_best))
-    return SweepResult(method=method, rows=rows, best=best)
+    results = {}
+    for method, sweep in rows.items():
+        # the first chi in grid order with the smallest error, per mode count
+        best = [min(((n, chi, err) for chi, nn, err in sweep if nn == n), key=lambda t: t[2])
+                for n in range(1, cap + 1)]
+        results[method] = SweepResult(method=method, rows=sweep, best=best)
+    return results
 
 
 def read_signal_csv(path):

@@ -1,6 +1,6 @@
 """Reduced operators on the moving eigenbasis.
 
-The cubic interaction tensor T_ijk = <phi_i phi_j phi_k>, the convection
+The cubic interaction tensor T_ijk = <phi_i phi_j phi_k>, the first-derivative
 matrix D_ij = <dphi_j/dx, phi_i>, the third-derivative matrix D3, and the
 algebraic brackets driving their evolution.  All quadrature is exact for the
 piecewise-polynomial integrands, so these are the Galerkin values up to
@@ -133,11 +133,15 @@ def assemble_T(basis: ReducedBasis) -> np.ndarray:
 
 
 def assemble_D(basis: ReducedBasis) -> np.ndarray:
-    """First-derivative matrix D_ij = <dphi_j/dx, phi_i> (1D only)."""
-    C = basis.fem.convection
-    if C is None:
-        raise ValueError("convection operator is only assembled on 1D meshes")
-    return basis.B.T @ (C @ basis.B)
+    """First-derivative matrix D_ij = <dphi_j/dx, phi_i> (1D only).
+
+    Sampled at the element quadrature points, which the P1 integrand (phi_i
+    linear, phi_j' constant per element) leaves exact.
+    """
+    qw, values, deriv = basis.fem.quadrature()
+    if deriv is None:
+        raise ValueError("first-derivative operator is only assembled on 1D meshes")
+    return (values @ basis.B).T @ ((deriv @ basis.B) * qw[:, None])
 
 
 def assemble_D3(basis: ReducedBasis) -> np.ndarray:

@@ -327,7 +327,7 @@ def test_benchmark_hooks_are_harness_globals(advection_ini, tmp_path, monkeypatc
                     "[scsa]\nchi_grid = 50\nn_modes_cap = 4\nmethods = soliton, eigen\n")
     assert main(["run", advection_ini, "--out", str(tmp_path / "run")]) == 0
     assert main(["scsa", str(scsa), "--out", str(tmp_path / "scsa")]) == 0
-    assert calls == {"run": 2, "chi_sweep": 2}
+    assert calls == {"run": 2, "chi_sweep": 1}
 
     path = os.path.join(os.path.dirname(__file__), os.pardir, "laxbench", "tracer.py")
     spec = importlib.util.spec_from_file_location("laxbench_tracer", path)

@@ -191,7 +191,6 @@ def test_run_records_trajectory(small_advection):
     assert traj.n_steps == 10
     assert traj.times.shape == (11,)
     assert traj.coeffs.shape == (11, 5)
-    assert traj.lambdas.shape == (11, 5)
     assert traj.frame.shape == (11, 5)
     assert traj.rotation.shape == (5, 5)
     assert np.all(np.isfinite(traj.frob))
@@ -403,7 +402,7 @@ def test_soliton_run_keeps_amplitudes_bitwise():
     traj = run(basis, alpha0, KdvSolitonModel(1), SolverConfig(chi=1.0, dt=2e-3, t_max=0.2))
     assert traj.coeffs.shape == (101, 1)
     assert np.array_equal(traj.coeffs, np.broadcast_to(alpha0, traj.coeffs.shape))
-    assert not np.array_equal(traj.lambdas[-1], traj.lambdas[0])
+    assert not np.array_equal(traj.last.lam, traj.first.lam)
 
 
 def test_config_rejects_nonmultiple_horizon():

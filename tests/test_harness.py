@@ -28,6 +28,7 @@ from laxrom import (
     run_chi_sweep,
     run_experiment,
     run_scsa,
+    scsa,
 )
 
 TINY_ADVECTION = """
@@ -747,6 +748,24 @@ def test_scsa_driver_writes_sweep_tables(tmp_path):
                       delimiter=",", skiprows=1)
     assert best.shape == (12, 3)
     assert np.all(best[:, 2] >= 0.0)
+
+
+def test_scsa_preset_solves_once_per_chi(monkeypatch):
+    # both representations come from one capped eigensolve per chi
+    cfg = load_config(CONFIGS / "scsa_double_gaussian.ini")
+    cfg.out_dir = None
+    requested = []
+    solve = scsa.solve_schrodinger_eig
+
+    def counting(fem, u, chi, n_modes):
+        requested.append((chi, n_modes))
+        return solve(fem, u, chi, n_modes)
+
+    monkeypatch.setattr(scsa, "solve_schrodinger_eig", counting)
+    results = run_scsa(cfg)
+    assert list(results) == ["soliton", "eigen"]
+    assert requested == [(chi, cfg.n_modes_cap) for chi in cfg.chi_grid]
+    assert len(requested) == 8
 
 
 def test_scsa_driver_rejects_dynamic_experiment():

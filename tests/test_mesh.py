@@ -63,9 +63,6 @@ def test_symmetry_and_convection_skewness():
     fem = assemble(mesh, "dirichlet")
     for A in (fem.mass, fem.stiffness):
         assert abs(A - A.T).max() == 0.0
-    # convection restricted to the interior is exactly skew
-    C = fem.convection
-    assert abs(C + C.T).max() == 0.0
 
 
 def test_dirichlet_eliminates_boundary():

@@ -64,7 +64,7 @@ def test_soliton_less_accurate_than_eigen_here(interval, double_gaussian):
 
 
 def test_chi_sweep_eigen_matches_direct(interval, double_gaussian):
-    sweep = chi_sweep(double_gaussian, [150.0, 250.0], 8, "eigen", interval)
+    sweep = chi_sweep(double_gaussian, [150.0, 250.0], 8, interval, methods=("eigen",))["eigen"]
     assert {c for c, _, _ in sweep.rows} == {150.0, 250.0}
     # one eigensolve per chi must agree with an explicit projection
     direct = eigen_expansion(double_gaussian, 250.0, 8, interval)[1]
@@ -73,14 +73,14 @@ def test_chi_sweep_eigen_matches_direct(interval, double_gaussian):
     # per-budget winners cover every mode count once
     assert [n for n, _, _ in sweep.best] == list(range(1, 9))
     # down to errors of ~1e-9, where a Parseval remainder cancels to zero
-    sweep = chi_sweep(double_gaussian, [50.0], 60, "eigen", interval)
+    sweep = chi_sweep(double_gaussian, [50.0], 60, interval, methods=("eigen",))["eigen"]
     for chi, n, err in sweep.rows:
         direct = eigen_expansion(double_gaussian, chi, n, interval)[1]
         assert err == pytest.approx(direct, rel=1e-6)
 
 
 def test_chi_sweep_soliton_monotone_in_budget(interval, double_gaussian):
-    sweep = chi_sweep(double_gaussian, [250.0], 6, "soliton", interval)
+    sweep = chi_sweep(double_gaussian, [250.0], 6, interval, methods=("soliton",))["soliton"]
     errs = [e for _, n, e in sweep.rows]
     assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
@@ -109,17 +109,40 @@ def test_bound_state_growth_matches_full_spectrum(monkeypatch):
         expect = (4.0 / chi) * ((full.B[:, neg] ** 2) @ np.sqrt(-full.lam[neg]))
         assert n_neg == np.count_nonzero(neg) == n_bound
         assert fem.norm(approx - expect) <= 1e-9 * fem.norm(expect)
-        sweep = chi_sweep(u, [chi], 10, "soliton", fem)
+        sweep = chi_sweep(u, [chi], 10, fem, methods=("soliton",))["soliton"]
         assert sweep.rows[-1][2] == pytest.approx(err, rel=1e-12)
+
+
+def test_chi_sweep_soliton_below_the_bound_state_count():
+    # at chi = 500 the preset's signal has 8 bound states; a cap of 4 keeps
+    # the 4 deepest, read off the sweep's one 4-mode solve.  The reference
+    # is the uncapped bound-state search (the dense full spectrum agrees
+    # with both to about 1.5e-12 only, limited by its own eigenvalues)
+    fem = assemble(build_uniform_mesh_1d(0.0, 1.0, 500), "neumann")
+    x = fem.coords
+    u, _ = shift_nonnegative(np.exp(-250.0 * (x - 0.25) ** 2)
+                             - np.exp(-250.0 * (x - 0.75) ** 2))
+    chi = 500.0
+    kappa, phi = scsa._bound_states(u, chi, fem, 1e-8)
+    assert kappa.size == 8
+    sweep = chi_sweep(u, [chi], 4, fem)
+    partial = np.cumsum((4.0 / chi) * phi[:, :4] ** 2 * kappa[:4], axis=1)
+    expect = [fem.norm(u - partial[:, n]) / fem.norm(u) for n in range(4)]
+    assert [n for _, n, _ in sweep["soliton"].rows] == [1, 2, 3, 4]
+    got = [err for _, _, err in sweep["soliton"].rows]
+    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
+    # the eigen rows come from the same solve
+    eig = chi_sweep(u, [chi], 4, fem, methods=("eigen",))["eigen"]
+    assert sweep["eigen"].rows == eig.rows
 
 
 def test_chi_sweep_validates_input(interval, double_gaussian):
     with pytest.raises(ValueError):
-        chi_sweep(double_gaussian, [10.0], 4, "fourier", interval)
+        chi_sweep(double_gaussian, [10.0], 4, interval, methods=("fourier",))
     with pytest.raises(ValueError):
-        chi_sweep(double_gaussian, [10.0], 0, "eigen", interval)
+        chi_sweep(double_gaussian, [10.0], 0, interval)
     with pytest.raises(ValueError):
-        chi_sweep(np.zeros(interval.n_active), [10.0], 4, "eigen", interval)
+        chi_sweep(np.zeros(interval.n_active), [10.0], 4, interval)
 
 
 def test_expansions_reject_a_zero_signal_like_chi_sweep():
@@ -131,7 +154,7 @@ def test_expansions_reject_a_zero_signal_like_chi_sweep():
     with pytest.raises(ValueError, match="zero signal"):
         soliton_expansion(zero, 10.0, fem)
     with pytest.raises(ValueError, match="zero signal"):
-        chi_sweep(zero, [10.0], 4, "eigen", fem)
+        chi_sweep(zero, [10.0], 4, fem)
 
 
 def test_read_signal_csv_roundtrip(tmp_path):
