@@ -44,14 +44,16 @@ cfg = SolverConfig(chi=1.0, dt=2e-3, t_max=5.0)
 model = KdvSolitonModel(n_neg)  # amplitudes frozen at the scattering values
 traj = run(basis, alpha0, model, cfg)
 
-# the modes at level i are B_0 Q_i, with Q_i an n x n rotation stepped
-# along the half-step generators; squaring needs the nodal modes, so the
-# run keeps the leading columns Q_i[:, :p] as the level's frame
+# level i sits at cfg.times()[i] = i dt, and its modes are B_0 Q_i, with
+# Q_i an n x n rotation stepped along the half-step generators; squaring
+# needs the nodal modes, so the run keeps the leading columns Q_i[:, :p]
+# as the level's frame
+times = cfg.times()
 print("\n  t     eps_L2   (soliton travels from x=0 to x=20)")
 for i in range(0, traj.n_steps + 1, 500):
     u_rom = reconstruct_nodal(basis, traj.coeffs[i], law="soliton", frame=traj.frame[i])
-    u_ref = kdv_one_soliton(4.0, 0.0, x, traj.times[i])
-    print(f"  {traj.times[i]:4.1f}  {eps_l2(fem, u_ref, u_rom):.2e}")
+    u_ref = kdv_one_soliton(4.0, 0.0, x, times[i])
+    print(f"  {times[i]:4.1f}  {eps_l2(fem, u_ref, u_rom):.2e}")
 
 drift = np.abs(traj.coeffs - alpha0).max()
 print(f"amplitude drift over the run: {drift:.1e}")

@@ -22,7 +22,8 @@ never builds the full (n, n, n) tensor.
 Each stage of the iteration (midpoint, proposal, change, scale) is one
 elementwise operation on the whole of y, and the other named fields are
 views into it.  No state vector is ever written in place, so states are
-shared without copying.
+shared without copying.  Level k sits at t_k = k dt (``SolverConfig.times``):
+no state or trajectory keeps a clock.
 """
 
 from __future__ import annotations
@@ -84,6 +85,10 @@ class SolverConfig:
             raise ValueError(f"t_max={self.t_max} is not a multiple of dt={self.dt}")
         return n
 
+    def times(self) -> np.ndarray:
+        """The time levels t_k = k dt, k = 0, ..., n_steps()."""
+        return self.dt * np.arange(self.n_steps() + 1)
+
 
 class StateLayout:
     """Offsets of the fields in the flat state vector.
@@ -133,7 +138,6 @@ class ReducedState:
     """
 
     y: np.ndarray
-    t: float
     layout: StateLayout = field(repr=False)
     coeffs: np.ndarray = field(init=False, repr=False)
     lam: np.ndarray = field(init=False, repr=False)
@@ -255,17 +259,17 @@ def step_midpoint(state: ReducedState, model: EquationModel, cfg: SolverConfig):
         prop = y + dt * _rhs(half, layout, model, cfg)
         last_delta = float(np.abs(prop - new).max())
         if not np.isfinite(last_delta):
-            raise FixedPointError(f"at t={state.t:.6g}: midpoint iteration diverged")
+            raise FixedPointError("midpoint iteration diverged")
         new = prop
         if last_delta <= cfg.fp_tol * scale:
             break
     else:
         raise FixedPointError(
-            f"at t={state.t:.6g}: no convergence in {cfg.fp_max_iters} iterations "
+            f"no convergence in {cfg.fp_max_iters} iterations "
             f"(last delta {last_delta:.3e}); {_closest_pair(y, half, layout, model, cfg)}"
         )
     *_, M_half = _generator(layout.split(0.5 * (y + new)), model, cfg)
-    return ReducedState(new, state.t + dt, layout), M_half
+    return ReducedState(new, layout), M_half
 
 
 def _operator(root: ReducedBasis, kind: str) -> np.ndarray:
@@ -296,14 +300,14 @@ def initial_state(basis: ReducedBasis, coeffs0: np.ndarray, model: EquationModel
     T = _operator(root, "T")[:n, :n, :n]
     layout = StateLayout(coeffs0.size, n, model.required_aux)
     y = layout.pack(coeffs0, basis.lam, pack_symmetric(T), *aux)
-    return ReducedState(y, 0.0, layout)
+    return ReducedState(y, layout)
 
 
 @dataclass
 class Trajectory:
     """Reduced trajectory stored as arrays.
 
-    ``times``/``coeffs``/``frame`` have one row per time level,
+    ``coeffs``/``frame`` have one row per time level (``SolverConfig.times``),
     ``frob`` (Frobenius norm of M) one entry per step, evaluated at the
     converged half steps.  ``frame`` holds each level in the frame of the
     initial modes B_0: a_k = Q_k c_k (standard law) or the p columns
@@ -312,7 +316,6 @@ class Trajectory:
     inspection; interior interaction tensors and generators are not.
     """
 
-    times: np.ndarray
     coeffs: np.ndarray
     frame: np.ndarray
     rotation: np.ndarray
@@ -340,7 +343,8 @@ def run(
     The basis rotation advances with each step (``rotation_step``) and is
     re-orthonormalized every _BLOCK steps and at the last one.  A
     FixedPointError or InvariantError is raised again with the mode count
-    and the index of the failed step prefixed to its message.
+    and the index (a FixedPointError also the time) of the failed step
+    prefixed to its message.
     """
     if cfg.chi != basis.chi:
         raise ValueError(f"config chi={cfg.chi} but basis was built with {basis.chi}")
@@ -350,12 +354,10 @@ def run(
     p = state.coeffs.size
     standard = model.coefficient_law == "standard"
 
-    times = np.empty(n_steps + 1)
     coeffs = np.empty((n_steps + 1, p))
     frame = np.empty((n_steps + 1, n) if standard else (n_steps + 1, n, p))
     frob = np.empty(n_steps)
 
-    times[0] = 0.0
     coeffs[0] = state.coeffs
     Q = np.eye(n)
     frame[0] = coeffs[0] if standard else Q[:, :p]
@@ -364,8 +366,7 @@ def run(
         try:
             state, M = step_midpoint(state, model, cfg)
         except FixedPointError as exc:
-            raise FixedPointError(f"N_M={n} step {k} {exc}") from None
-        times[k + 1] = state.t
+            raise FixedPointError(f"N_M={n} step {k} at t={cfg.times()[k]:.6g}: {exc}") from None
         coeffs[k + 1] = state.coeffs
         frob[k] = np.sqrt(frobenius_norm_sq(M))
         try:
@@ -373,12 +374,4 @@ def run(
         except InvariantError as exc:
             raise InvariantError(f"N_M={n} step {k}: {exc}") from None
         frame[k + 1] = Q[:, :p] @ coeffs[k + 1] if standard else Q[:, :p]
-    return Trajectory(
-        times=times,
-        coeffs=coeffs,
-        frame=frame,
-        rotation=Q,
-        frob=frob,
-        first=first,
-        last=state,
-    )
+    return Trajectory(coeffs=coeffs, frame=frame, rotation=Q, frob=frob, first=first, last=state)

@@ -3,8 +3,10 @@
 Drives the full pipeline (mesh, eigenbasis, reduced integration, nodal
 reconstruction, reference comparison) for the benchmark problems and
 writes their error tables, per-time error series, solution snapshots and a
-run manifest.  Everything is deterministic: the one random draw, the
-eigensolver's start vector, is seeded, and nothing records a timestamp.
+run manifest.  Every time written or evaluated comes from ``cfg.times()``
+(level k at k dt) or ``_half_steps``.  Everything is deterministic: the
+one random draw, the eigensolver's start vector, is seeded, and nothing
+records a timestamp.
 """
 
 from __future__ import annotations
@@ -312,18 +314,20 @@ def _initial_condition(cfg: ExperimentConfig, fem):
     return _exact(cfg, xy, 0.0)
 
 
-def _reference_blocks(cfg: ExperimentConfig, fem, u0, n_steps: int):
-    """(start, levels) blocks of the reference nodal solution, in order.
+def _reference_blocks(cfg: ExperimentConfig, fem, u0):
+    """(start, levels) blocks of the reference nodal solution at the levels
+    ``cfg.times()``, in order.
 
     A block has _CHUNK levels, fewer on a mesh of more than _BLOCK_VALUES /
     _CHUNK dofs, and no reference is ever stored whole.  A closed form is
-    evaluated a block at a time; the n-soliton form holds 2^n arrays of its
-    input, so it fills a block 8 / 2^n of its levels at a time.  The FKPP
-    integrator's levels are copied into a block as it yields them.
+    evaluated a block at a time, in one call; the n-soliton form holds 2^n
+    arrays of its input, so beyond 3 solitons its blocks shrink by 8 / 2^n.
+    The FKPP integrator's levels are copied into a block as it yields them.
     """
+    times = cfg.times()
     length = min(_CHUNK, max(1, _BLOCK_VALUES // fem.n_active))
     if cfg.problem == "fkpp":
-        levels = fkpp_reference(fem, u0, cfg.nu, cfg.dt, n_steps)
+        levels = fkpp_reference(fem, u0, cfg.nu, cfg.dt, len(times) - 1)
 
         def block(start, stop):
             out = np.empty((stop - start, fem.n_active))
@@ -331,16 +335,14 @@ def _reference_blocks(cfg: ExperimentConfig, fem, u0, n_steps: int):
                 row[:] = next(levels)
             return out
     else:
-        size = length if cfg.c_scatter is None else max(1, length * 8 // 2 ** len(cfg.c_scatter))
-        times = cfg.dt * np.arange(n_steps + 1)
+        if cfg.c_scatter is not None:
+            length = max(1, length * 8 // max(8, 2 ** len(cfg.c_scatter)))
 
         def block(start, stop):
-            t = times[start:stop, None]
-            parts = [_exact(cfg, fem.coords, t[sub:sub + size]) for sub in range(0, len(t), size)]
-            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            return _exact(cfg, fem.coords, times[start:stop, None])
 
-    for start in range(0, n_steps + 1, length):
-        yield start, block(start, min(start + length, n_steps + 1))
+    for start in range(0, len(times), length):
+        yield start, block(start, min(start + length, len(times)))
 
 
 def _make_model(cfg: ExperimentConfig, basis_full):
@@ -433,7 +435,12 @@ _BLOCK_VALUES = 2 ** 16
 
 # what scoring keeps of a trajectory (dynamics.Trajectory): the modes at
 # level k are basis.B @ frame[k]; coeffs are kept for the soliton law only
-_Track = namedtuple("_Track", "basis frame coeffs times")
+_Track = namedtuple("_Track", "basis frame coeffs")
+
+
+def _half_steps(cfg) -> np.ndarray:
+    """(k + 1/2) dt, k < n_steps(): where step k evaluates its generator."""
+    return cfg.dt * (np.arange(cfg.n_steps()) + 0.5)
 
 
 def _track(cfg, basis_full, model, u0, nm) -> _Track:
@@ -441,9 +448,9 @@ def _track(cfg, basis_full, model, u0, nm) -> _Track:
     basis, traj = _trajectory(cfg, basis_full, model, u0, nm)
     if cfg.out_dir is not None:
         _save_csv(cfg.out_dir, f"mnorm_nm{nm:03d}.csv", "t_half,m_frob",
-                  np.column_stack([0.5 * (traj.times[:-1] + traj.times[1:]), traj.frob]))
+                  np.column_stack([_half_steps(cfg), traj.frob]))
     soliton = model.coefficient_law == "soliton"
-    return _Track(basis, traj.frame, traj.coeffs if soliton else None, traj.times)
+    return _Track(basis, traj.frame, traj.coeffs if soliton else None)
 
 
 def _score(cfg, fem, u0, tracks: dict, errors: dict) -> dict:
@@ -459,13 +466,13 @@ def _score(cfg, fem, u0, tracks: dict, errors: dict) -> dict:
     scores = {nm: (np.empty(n + 1), np.empty(n + 1)) for nm in tracks}
 
     try:
-        for start, ref in _reference_blocks(cfg, fem, u0, n):
+        for start, ref in _reference_blocks(cfg, fem, u0):
             rows = slice(start, start + len(ref))
             snaps = [i for i in snap_levels if rows.start <= i < rows.stop]
             ref_norm = _reference_norm(fem, ref)
 
             def score(nm):
-                basis, frame, coeffs, _ = tracks[nm]
+                basis, frame, coeffs = tracks[nm]
                 u = (reconstruct_nodal(basis, frame[rows]) if coeffs is None
                      else reconstruct_nodal(basis, coeffs[rows], "soliton", frame[rows]))
                 scores[nm][0][rows] = fem.norm(ref - u) / ref_norm
@@ -484,11 +491,11 @@ def _score(cfg, fem, u0, tracks: dict, errors: dict) -> dict:
     return {nm: s for nm, s in scores.items() if nm not in errors}
 
 
-def _tabulate(cfg, nm, track: _Track, eps, amp) -> MetricsRow:
+def _tabulate(cfg, nm, eps, amp) -> MetricsRow:
     """Stage 3 for one N_M: its error series file and table row."""
     if cfg.out_dir is not None:
         _save_csv(cfg.out_dir, f"errors_nm{nm:03d}.csv", "t,eps_l2,eps_amp",
-                  np.column_stack([track.times, eps, amp]))
+                  np.column_stack([cfg.times(), eps, amp]))
     row = MetricsRow(nm=nm, mean_eps_l2=float(np.mean(eps)), max_eps_l2=float(np.max(eps)),
                      eps_final=float(eps[-1]), eps_amp=float(np.max(amp)))
     log.info("[%s] N_M=%3d  mean eps_L2=%.3e  max=%.3e  amp=%.3e",
@@ -525,8 +532,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     errors = {}
     tracks = _per_nm(cfg.nm_list, lambda nm: _track(cfg, basis_full, model, u0, nm), errors)
     scores = _score(cfg, fem, u0, tracks, errors)
-    rows = list(_per_nm(
-        scores, lambda nm: _tabulate(cfg, nm, tracks[nm], *scores[nm]), errors).values())
+    rows = list(_per_nm(scores, lambda nm: _tabulate(cfg, nm, *scores[nm]), errors).values())
     if out_dir is not None:
         if rows:
             _save_csv(out_dir, "table.csv", _TABLE_HEADER, np.array([astuple(r) for r in rows]))
@@ -556,9 +562,8 @@ def compare_frobenius(cfg: ExperimentConfig):
         mean = float(np.mean(series))
         log.info("[%s] N_M=%3d  mean eps_M=%.3e", cfg.problem, nm, mean)
         if out_dir is not None:
-            t_half = 0.5 * (traj.times[:-1] + traj.times[1:])
             _save_csv(out_dir, f"eps_m_nm{nm:03d}.csv", "t_half,eps_m",
-                      np.column_stack([t_half, series]))
+                      np.column_stack([_half_steps(cfg), series]))
         return nm, mean, float(np.max(series))
 
     errors = {}

@@ -54,10 +54,8 @@ def _cross2(a, b):
 
 @dataclass(frozen=True)
 class Mesh1D:
-    """Uniform partition of the interval [a, b]."""
+    """Uniform partition of the interval [nodes[0], nodes[-1]]."""
 
-    a: float
-    b: float
     nodes: np.ndarray
     h: float
 
@@ -101,7 +99,7 @@ def build_uniform_mesh_1d(a: float, b: float, n_nodes: int) -> Mesh1D:
     if n_nodes < 3:
         raise ValueError("need at least 3 nodes")
     nodes = np.linspace(a, b, n_nodes)
-    return Mesh1D(a=float(a), b=float(b), nodes=nodes, h=(b - a) / (n_nodes - 1))
+    return Mesh1D(nodes=nodes, h=(b - a) / (n_nodes - 1))
 
 
 def build_structured_square_mesh(n_per_side: int) -> TriMesh:

@@ -107,7 +107,6 @@ class SweepResult:
     error, as (n_modes, chi, error) triples.
     """
 
-    method: str
     rows: list
     best: list
 
@@ -162,7 +161,7 @@ def chi_sweep(
         # the first chi in grid order with the smallest error, per mode count
         best = [min(((n, chi, err) for chi, nn, err in sweep if nn == n), key=lambda t: t[2])
                 for n in range(1, cap + 1)]
-        results[method] = SweepResult(method=method, rows=sweep, best=best)
+        results[method] = SweepResult(rows=sweep, best=best)
     return results
 
 

@@ -109,7 +109,7 @@ def _soliton_run(name):
     errors = {}
     scores = harness._score(cfg, fem, u0, {nm: track}, errors)
     assert errors == {}
-    row = harness._tabulate(cfg, nm, track, *scores[nm])
+    row = harness._tabulate(cfg, nm, *scores[nm])
     drift = float(np.abs(track.coeffs - track.coeffs[0]).max())
     return row, drift, model
 

@@ -140,7 +140,7 @@ def test_midpoint_reports_nonconvergence(small_advection):
     basis, beta, model = small_advection
     cfg = SolverConfig(chi=60.0, dt=5e-3, t_max=0.1, fp_max_iters=1, fp_tol=1e-14)
     state = initial_state(basis, beta, model)
-    with pytest.raises(FixedPointError, match=r"^at t=0: no convergence in 1 iterations"):
+    with pytest.raises(FixedPointError, match=r"^no convergence in 1 iterations"):
         for _ in range(cfg.n_steps()):
             state, _ = step_midpoint(state, model, cfg)
     # run names the mode count and the index of the failed step
@@ -189,15 +189,16 @@ def test_run_records_trajectory(small_advection):
     cfg = SolverConfig(chi=60.0, dt=4e-3, t_max=0.04)
     traj = run(basis, beta, model, cfg)
     assert traj.n_steps == 10
-    assert traj.times.shape == (11,)
     assert traj.coeffs.shape == (11, 5)
     assert traj.frame.shape == (11, 5)
     assert traj.rotation.shape == (5, 5)
     assert np.all(np.isfinite(traj.frob))
     # level 0 is in the frame of the initial modes already
     np.testing.assert_array_equal(traj.frame[0], beta)
-    assert traj.times[-1] == pytest.approx(0.04)
     np.testing.assert_allclose(traj.coeffs[0], beta)
+    # the config is the only clock: neither the trajectory nor a state keeps one
+    assert "times" not in {f.name for f in dataclasses.fields(traj)}
+    assert "t" not in {f.name for f in dataclasses.fields(traj.last)}
     with pytest.raises(ValueError):
         run(basis, beta, model, SolverConfig(chi=61.0, dt=4e-3, t_max=0.04))
 
@@ -351,7 +352,7 @@ def test_step_never_unpacks_tensor(small_advection, name, monkeypatch):
     state = _model_state(small_advection, model)
     monkeypatch.setattr(dynamics, "unpack_symmetric", refuse)
     new, _ = step_midpoint(state, model, SolverConfig(chi=60.0, dt=1e-4, t_max=1e-3))
-    assert new.t == pytest.approx(1e-4)
+    assert new.y.shape == state.y.shape and not np.array_equal(new.y, state.y)
     with pytest.raises(AssertionError, match="unpacked"):
         new.T  # the full tensor stays available, through the patched unpack
 
@@ -408,3 +409,5 @@ def test_soliton_run_keeps_amplitudes_bitwise():
 def test_config_rejects_nonmultiple_horizon():
     with pytest.raises(ValueError):
         SolverConfig(chi=1.0, dt=3e-3, t_max=0.01).n_steps()
+    with pytest.raises(ValueError, match="not a multiple"):
+        SolverConfig(chi=1.0, dt=3e-3, t_max=0.01).times()

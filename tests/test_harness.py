@@ -452,11 +452,35 @@ def test_error_series_matches_per_level_definition(problem, tmp_path, monkeypatc
             Q = orthonormalize_g(Q @ np.linalg.solve(eye - h * M, eye + h * M))
 
 
+def test_written_times_are_the_config_grid(tmp_path):
+    # every t and t_half written is read from cfg.times(): a clock summed
+    # step by step (t + dt) lands off k dt at most levels of this grid
+    cfg = replace(ExperimentConfig(problem="kdv_eigen"), a=-5.0, b=15.0, n_nodes=101,
+                  beta_speed=4.0, dt=2e-3, t_max=0.3, nm_list=(6, 8), nm_ref=8)
+    times = cfg.times()
+    np.testing.assert_array_equal(times, 2e-3 * np.arange(151))
+    t_half = 2e-3 * (np.arange(150) + 0.5)
+    summed = np.add.accumulate(np.r_[0.0, np.full(cfg.n_steps(), cfg.dt)])
+    assert np.count_nonzero(summed != times) > 100
+    report = run_experiment(replace(cfg, out_dir=str(tmp_path / "run")))
+    rows, errors = compare_frobenius(replace(cfg, out_dir=str(tmp_path / "frobenius")))
+    assert report.errors == {} and errors == {} and len(rows) == 2
+
+    def first_column(name):
+        return np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)[:, 0]
+
+    for nm in cfg.nm_list:
+        np.testing.assert_array_equal(first_column(f"run/errors_nm{nm:03d}.csv"), times)
+        np.testing.assert_array_equal(first_column(f"run/mnorm_nm{nm:03d}.csv"), t_half)
+        np.testing.assert_array_equal(first_column(f"frobenius/eps_m_nm{nm:03d}.csv"), t_half)
+
+
 def reference_levels(cfg, fem):
     """The reference blocks of cfg, checked to follow each other, stacked."""
     n_steps = cfg.n_steps()
-    blocks = list(harness._reference_blocks(cfg, fem, None, n_steps))
-    assert [start for start, _ in blocks] == list(range(0, n_steps + 1, harness._CHUNK))
+    blocks = list(harness._reference_blocks(cfg, fem, None))
+    starts = [start for start, _ in blocks]
+    assert starts == [0] + [start + len(ref) for start, ref in blocks[:-1]]
     assert all(len(ref) <= harness._CHUNK for _, ref in blocks)
     ref = np.concatenate([ref for _, ref in blocks])
     assert ref.shape == (n_steps + 1, fem.n_active)
@@ -574,7 +598,7 @@ def test_1d_meshes_keep_chunk_level_blocks(n_nodes, levels):
     assert harness._CHUNK == 64
     cfg = ExperimentConfig(problem="advection", n_nodes=n_nodes, dt=1.0 / 256, t_max=0.5)
     fem = harness._build_space(cfg)
-    blocks = list(harness._reference_blocks(cfg, fem, None, cfg.n_steps()))
+    blocks = list(harness._reference_blocks(cfg, fem, None))
     assert [start for start, _ in blocks] == [0, levels, 2 * levels]
     assert [len(ref) for _, ref in blocks] == [levels, levels, 129 - 2 * levels]
 

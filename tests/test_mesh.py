@@ -139,7 +139,7 @@ def test_weighted_mass_psd_for_nonnegative_weight():
 
 def test_degenerate_elements_rejected():
     nodes = np.array([0.0, 0.5, 0.5, 1.0])
-    bad = Mesh1D(a=0.0, b=1.0, nodes=nodes, h=0.25)
+    bad = Mesh1D(nodes=nodes, h=0.25)
     with pytest.raises(AssemblyError):
         assemble(bad, "neumann")
 
