@@ -59,8 +59,6 @@ def main(argv=None) -> int:
         return 2
     if args.out is not None:
         cfg.out_dir = args.out
-    if cfg.out_dir is None:
-        cfg.out_dir = "out"
 
     try:
         if args.command in ("run", "frobenius"):

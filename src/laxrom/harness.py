@@ -59,11 +59,12 @@ class ExperimentConfig(SolverConfig):
     """Flat view of one experiment configuration file.
 
     The reduced integration's fields (chi, dt, t_max, fp_tol, fp_max_iters,
-    tol_deg) are SolverConfig's, so ``run`` takes the config itself.
+    tol_deg) are SolverConfig's, so ``run`` takes the config itself.  Every
+    driver writes into out_dir, relative to the working directory.
     """
 
     problem: str
-    out_dir: str | None = None
+    out_dir: str = "out"
     # mesh
     a: float = 0.0
     b: float = 1.0
@@ -162,6 +163,8 @@ def _check(cfg: ExperimentConfig) -> None:
         raise ValueError(f"unknown problem {cfg.problem!r}")
     if cfg.problem != "scsa":
         cfg.n_steps()
+    if cfg.n_per_side is not None and cfg.problem != "fkpp":
+        raise ValueError(f"[mesh] n_per_side is for fkpp only, got problem {cfg.problem!r}")
     if cfg.bc is not None and cfg.bc not in (DIRICHLET, NEUMANN):
         raise ValueError(f"bc must be {DIRICHLET} or {NEUMANN}, got {cfg.bc!r}")
     if not cfg.nm_list or min(cfg.nm_list) < 1:
@@ -211,11 +214,13 @@ def check_command(cfg: ExperimentConfig, command: str) -> None:
     anything.  Only frobenius reads nm_ref, so load_config cannot hold it
     to the mesh.
     """
+    if command == "scsa" and cfg.problem != "scsa":
+        raise ValueError(f"scsa needs an scsa problem, got {cfg.problem!r}")
     if command != "scsa" and cfg.problem == "scsa":
         raise ValueError(f"{command} needs a dynamic problem; "
                          "scsa configs run with the scsa subcommand")
-    if command in ("sweep", "scsa") and not cfg.chi_grid:
-        raise ValueError(f"{command} needs a chi_grid")
+    if command == "sweep" and not cfg.chi_grid:
+        raise ValueError("sweep needs a chi_grid")
     if command != "frobenius":
         return
     if cfg.nm_ref < 1:
@@ -404,7 +409,7 @@ def _save_csv(out_dir: str, name: str, header: str, array) -> None:
     _write(out_dir, name, header + "\n" + _csv_rows(np.atleast_2d(array)))
 
 
-def _write_manifest(cfg: ExperimentConfig, out_dir: str, errors: dict | None = None) -> None:
+def _write_manifest(cfg: ExperimentConfig, errors: dict | None = None) -> None:
     """manifest.txt, and failures.txt when ``errors`` names a failed N_M."""
     import scipy
 
@@ -416,9 +421,9 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: str, errors: dict | None = N
         f"numpy = {np.__version__}",
         f"scipy = {scipy.__version__}",
     ]
-    _write(out_dir, "manifest.txt", "\n".join(lines) + "\n")
+    _write(cfg.out_dir, "manifest.txt", "\n".join(lines) + "\n")
     if errors:
-        _write(out_dir, "failures.txt",
+        _write(cfg.out_dir, "failures.txt",
                "".join(f"N_M={nm}: {msg}\n" for nm, msg in sorted(errors.items())))
 
 
@@ -446,9 +451,8 @@ def _half_steps(cfg) -> np.ndarray:
 def _track(cfg, basis_full, model, u0, nm) -> _Track:
     """Stage 1 for one N_M: the trajectory and mnorm_nmXXX.csv."""
     basis, traj = _trajectory(cfg, basis_full, model, u0, nm)
-    if cfg.out_dir is not None:
-        _save_csv(cfg.out_dir, f"mnorm_nm{nm:03d}.csv", "t_half,m_frob",
-                  np.column_stack([_half_steps(cfg), traj.frob]))
+    _save_csv(cfg.out_dir, f"mnorm_nm{nm:03d}.csv", "t_half,m_frob",
+              np.column_stack([_half_steps(cfg), traj.frob]))
     soliton = model.coefficient_law == "soliton"
     return _Track(basis, traj.frame, traj.coeffs if soliton else None)
 
@@ -461,7 +465,7 @@ def _score(cfg, fem, u0, tracks: dict, errors: dict) -> dict:
     u_ref are formatted once, and each N_M's u_rom filled in.
     """
     n = cfg.n_steps()
-    snap_levels = sorted({0, n // 4, n // 2, n}) if cfg.out_dir is not None else []
+    snap_levels = sorted({0, n // 4, n // 2, n})
     header = "x,y,u_ref,u_rom" if fem.coords.ndim == 2 else "x,u_ref,u_rom"
     scores = {nm: (np.empty(n + 1), np.empty(n + 1)) for nm in tracks}
 
@@ -493,9 +497,8 @@ def _score(cfg, fem, u0, tracks: dict, errors: dict) -> dict:
 
 def _tabulate(cfg, nm, eps, amp) -> MetricsRow:
     """Stage 3 for one N_M: its error series file and table row."""
-    if cfg.out_dir is not None:
-        _save_csv(cfg.out_dir, f"errors_nm{nm:03d}.csv", "t,eps_l2,eps_amp",
-                  np.column_stack([cfg.times(), eps, amp]))
+    _save_csv(cfg.out_dir, f"errors_nm{nm:03d}.csv", "t,eps_l2,eps_amp",
+              np.column_stack([cfg.times(), eps, amp]))
     row = MetricsRow(nm=nm, mean_eps_l2=float(np.mean(eps)), max_eps_l2=float(np.max(eps)),
                      eps_final=float(eps[-1]), eps_amp=float(np.max(amp)))
     log.info("[%s] N_M=%3d  mean eps_L2=%.3e  max=%.3e  amp=%.3e",
@@ -523,7 +526,6 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     Per N_M failures are recorded in the report and do not stop the other
     mode counts.  Returns the metrics report (rows in nm_list order).
     """
-    out_dir = cfg.out_dir
     nm_max = max(cfg.nm_list)
     fem, u0, basis_full, model = _setup(cfg, nm_max)
     log.info("[%s] %d dofs, %d steps, modes up to %d",
@@ -533,10 +535,9 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     tracks = _per_nm(cfg.nm_list, lambda nm: _track(cfg, basis_full, model, u0, nm), errors)
     scores = _score(cfg, fem, u0, tracks, errors)
     rows = list(_per_nm(scores, lambda nm: _tabulate(cfg, nm, *scores[nm]), errors).values())
-    if out_dir is not None:
-        if rows:
-            _save_csv(out_dir, "table.csv", _TABLE_HEADER, np.array([astuple(r) for r in rows]))
-        _write_manifest(cfg, out_dir, errors)
+    if rows:
+        _save_csv(cfg.out_dir, "table.csv", _TABLE_HEADER, np.array([astuple(r) for r in rows]))
+    _write_manifest(cfg, errors)
     return MetricsReport(rows, errors)
 
 
@@ -549,7 +550,6 @@ def compare_frobenius(cfg: ExperimentConfig):
     as in run_experiment, {nm: message}.  A failure at nm_ref fails the run.
     An nm_ref in nm_list reuses the reference trajectory.
     """
-    out_dir = cfg.out_dir
     _, u0, basis_full, model = _setup(cfg, max(max(cfg.nm_list), cfg.nm_ref))
     ref_traj = _trajectory(cfg, basis_full, model, u0, cfg.nm_ref)[1]
     ref = ref_traj.frob
@@ -561,17 +561,15 @@ def compare_frobenius(cfg: ExperimentConfig):
         series = np.abs(traj.frob - ref) / ref
         mean = float(np.mean(series))
         log.info("[%s] N_M=%3d  mean eps_M=%.3e", cfg.problem, nm, mean)
-        if out_dir is not None:
-            _save_csv(out_dir, f"eps_m_nm{nm:03d}.csv", "t_half,eps_m",
-                      np.column_stack([_half_steps(cfg), series]))
+        _save_csv(cfg.out_dir, f"eps_m_nm{nm:03d}.csv", "t_half,eps_m",
+                  np.column_stack([_half_steps(cfg), series]))
         return nm, mean, float(np.max(series))
 
     errors = {}
     rows = list(_per_nm(cfg.nm_list, compare, errors).values())
-    if out_dir is not None:
-        if rows:
-            _save_csv(out_dir, "frobenius.csv", "nm,mean_eps_m,max_eps_m", np.array(rows))
-        _write_manifest(cfg, out_dir, errors)
+    if rows:
+        _save_csv(cfg.out_dir, "frobenius.csv", "nm,mean_eps_m,max_eps_m", np.array(rows))
+    _write_manifest(cfg, errors)
     return rows, errors
 
 
@@ -583,9 +581,10 @@ def run_scsa(cfg: ExperimentConfig):
     every requested method.  Writes sweep_<method>.csv, best_<method>.csv
     and summary.csv.
     """
+    if cfg.problem != "scsa":
+        raise ValueError(f"scsa needs an scsa problem, got {cfg.problem!r}")
     if not cfg.chi_grid:
         raise ValueError("scsa needs a chi_grid")
-    out_dir = cfg.out_dir
     if cfg.signal == "double_gaussian":
         fem = _build_space(cfg)
         x = fem.coords
@@ -604,16 +603,14 @@ def run_scsa(cfg: ExperimentConfig):
     for method, res in results.items():
         n, chi_b, err_b = res.best[-1]
         log.info("[scsa] %s: best at cap n=%d: chi=%g err=%.3e", method, n, chi_b, err_b)
-        if out_dir is not None:
-            _save_csv(out_dir, f"sweep_{method}.csv", "chi,n_modes,error", np.array(res.rows))
-            _save_csv(out_dir, f"best_{method}.csv", "n_modes,chi,error", np.array(res.best))
-    if out_dir is not None:
-        if len(results) > 1:
-            header = ["n_modes"] + [f"{col}_{m}" for m in results for col in ("chi", "err")]
-            combined = np.column_stack([np.array(res.best)[:, 1:] for res in results.values()])
-            _save_csv(out_dir, "summary.csv", ",".join(header),
-                      np.column_stack([np.arange(1, cfg.n_modes_cap + 1), combined]))
-        _write_manifest(cfg, out_dir)
+        _save_csv(cfg.out_dir, f"sweep_{method}.csv", "chi,n_modes,error", np.array(res.rows))
+        _save_csv(cfg.out_dir, f"best_{method}.csv", "n_modes,chi,error", np.array(res.best))
+    if len(results) > 1:
+        header = ["n_modes"] + [f"{col}_{m}" for m in results for col in ("chi", "err")]
+        combined = np.column_stack([np.array(res.best)[:, 1:] for res in results.values()])
+        _save_csv(cfg.out_dir, "summary.csv", ",".join(header),
+                  np.column_stack([np.arange(1, cfg.n_modes_cap + 1), combined]))
+    _write_manifest(cfg)
     return results
 
 
@@ -625,20 +622,15 @@ def run_chi_sweep(cfg: ExperimentConfig):
     """
     if not cfg.chi_grid:
         raise ValueError("sweep needs a chi_grid")
-    out_dir = cfg.out_dir
     reports = {}
     combined = []
     for chi in cfg.chi_grid:
-        sub = replace(
-            cfg,
-            chi=float(chi),
-            out_dir=None if out_dir is None else os.path.join(out_dir, f"chi_{chi:g}"),
-        )
+        sub = replace(cfg, chi=float(chi), out_dir=os.path.join(cfg.out_dir, f"chi_{chi:g}"))
         log.info("[sweep] chi = %g", chi)
         rep = run_experiment(sub)
         reports[float(chi)] = rep
         combined.extend((chi, *astuple(r)) for r in rep.rows)
-    if out_dir is not None and combined:
-        _save_csv(out_dir, "sweep.csv", "chi," + _TABLE_HEADER, np.array(combined))
-        _write_manifest(cfg, out_dir)
+    if combined:
+        _save_csv(cfg.out_dir, "sweep.csv", "chi," + _TABLE_HEADER, np.array(combined))
+        _write_manifest(cfg)
     return reports

@@ -51,9 +51,12 @@ STORED = Path(__file__).resolve().parent / "data"
 TABLE_GATE = 1e-9  # relative; a change that keeps the results stays inside it
 
 
-def preset(name):
+def preset(name, out=None):
+    """The shipped config ``name``, writing into ``out`` (a temporary
+    directory) where a test runs a driver on it."""
     cfg = load_config(CONFIGS / name)
-    cfg.out_dir = None  # acceptance checks the numbers, not the files
+    if out is not None:
+        cfg.out_dir = str(out)
     return cfg
 
 
@@ -67,16 +70,16 @@ def verdict(log, tag, ok, text):
 
 
 @pytest.fixture(scope="module")
-def advection_table():
-    cfg = preset("advection.ini")
+def advection_table(tmp_path_factory):
+    cfg = preset("advection.ini", tmp_path_factory.mktemp("advection"))
     t0 = time.perf_counter()
     report = run_experiment(cfg)
     return cfg, report, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
-def kdv1_eigen_table():
-    cfg = preset("kdv1_eigen.ini")
+def kdv1_eigen_table(tmp_path_factory):
+    cfg = preset("kdv1_eigen.ini", tmp_path_factory.mktemp("kdv1_eigen"))
     report = run_experiment(cfg)
     return cfg, report
 
@@ -100,9 +103,9 @@ def kdv3_eigen_table(child_lane):
     return preset("kdv3_eigen.ini"), MetricsReport(rows, errors)
 
 
-def _soliton_run(name):
+def _soliton_run(name, out):
     """Soliton-basis run giving the error row, amplitude drift and model."""
-    cfg = preset(name)
+    cfg = preset(name, out)
     nm = max(cfg.nm_list)
     fem, u0, basis_full, model = harness._setup(cfg, nm)
     track = harness._track(cfg, basis_full, model, u0, nm)
@@ -115,25 +118,25 @@ def _soliton_run(name):
 
 
 @pytest.fixture(scope="module")
-def kdv1_soliton_run():
-    return _soliton_run("kdv1_soliton.ini")
+def kdv1_soliton_run(tmp_path_factory):
+    return _soliton_run("kdv1_soliton.ini", tmp_path_factory.mktemp("kdv1_soliton"))
 
 
 @pytest.fixture(scope="module")
-def kdv3_soliton_run():
-    return _soliton_run("kdv3_soliton.ini")
+def kdv3_soliton_run(tmp_path_factory):
+    return _soliton_run("kdv3_soliton.ini", tmp_path_factory.mktemp("kdv3_soliton"))
 
 
 @pytest.fixture(scope="module")
-def fkpp1d_table():
-    cfg = preset("fkpp1d.ini")
+def fkpp1d_table(tmp_path_factory):
+    cfg = preset("fkpp1d.ini", tmp_path_factory.mktemp("fkpp1d"))
     report = run_experiment(cfg)
     return cfg, report
 
 
 @pytest.fixture(scope="module")
-def fkpp2d_table():
-    cfg = preset("fkpp2d_square.ini")
+def fkpp2d_table(tmp_path_factory):
+    cfg = preset("fkpp2d_square.ini", tmp_path_factory.mktemp("fkpp2d"))
     t0 = time.perf_counter()
     report = run_experiment(cfg)
     return cfg, report, time.perf_counter() - t0
@@ -483,9 +486,7 @@ def test_table_matches_the_stored_one(name, request, acceptance_log):
 
 
 def test_scsa_summary_matches_the_stored_one(tmp_path, acceptance_log):
-    cfg = preset("scsa_double_gaussian.ini")
-    cfg.out_dir = str(tmp_path)
-    run_scsa(cfg)
+    run_scsa(preset("scsa_double_gaussian.ini", tmp_path))
     summary = np.loadtxt(tmp_path / "summary.csv", delimiter=",", skiprows=1, ndmin=2)
     assert _gate(acceptance_log, "scsa_double_gaussian", summary,
                  "scsa_double_gaussian_summary.csv")

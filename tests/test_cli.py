@@ -160,7 +160,11 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
         ("run", scsa, "run needs a dynamic problem"),
         ("sweep", scsa, "sweep needs a dynamic problem"),
         ("sweep", ADVECTION_INI, "sweep needs a chi_grid"),
-        ("scsa", ADVECTION_INI, "scsa needs a chi_grid"),
+        ("scsa", ADVECTION_INI, "scsa needs an scsa problem, got 'advection'"),
+        ("scsa", ADVECTION_INI + "[sweep]\nchi_grid = 40 80\n",
+         "scsa needs an scsa problem, got 'advection'"),
+        ("run", ADVECTION_INI.replace("n_nodes = 81", "n_per_side = 20"),
+         f"{path}: [mesh] n_per_side is for fkpp only, got problem 'advection'"),
         ("frobenius", ADVECTION_INI.replace("chi = 60", "chi = 60\nnm_ref = 0"),
          "nm_ref must be at least 1, got 0"),
         ("run", ADVECTION_INI + "[solver]\nfp_tol = 0\n", "fp_tol must be positive"),

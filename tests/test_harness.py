@@ -140,7 +140,7 @@ def test_config_round_trip(tmp_path):
     assert len(cfg.source_hash) == 64
 
     cfg = load_config(write_config(tmp_path, ROUND_TRIP_REST, "rest.ini"))
-    assert cfg.problem == "fkpp" and cfg.out_dir is None
+    assert cfg.problem == "fkpp" and cfg.out_dir == "out"
     assert cfg.n_per_side == 6 and cfg.bc == "dirichlet"
     assert cfg.chi == 25.0 and cfg.nm_list == (4, 8) and cfg.nm_ref == 12
     assert cfg.fp_max_iters == 7
@@ -288,6 +288,16 @@ def test_experiment_manifest_records_config(advection_run):
     assert "numpy =" in text and "laxrom =" in text
 
 
+def test_drivers_write_into_out_by_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = ExperimentConfig(problem="advection", n_nodes=61, chi=60.0, c=0.5,
+                           dt=1.0 / 16, t_max=0.25, nm_list=(4,))
+    assert cfg.out_dir == "out"
+    run_experiment(cfg)
+    assert (tmp_path / "out" / "table.csv").is_file()
+    assert (tmp_path / "out" / "manifest.txt").is_file()
+
+
 def test_repeated_runs_are_bit_identical(tmp_path):
     outputs = []
     for name in ("one", "two"):
@@ -319,13 +329,13 @@ def test_failures_are_recorded_per_mode_count(tmp_path):
     assert "N_M=4" in failures and "N_M=6" in failures
 
 
-def test_near_degenerate_crossing_names_its_pair():
+def test_near_degenerate_crossing_names_its_pair(tmp_path):
     # The 2D preset at half its dt fails at N_M = 10: eigenvalues 1 and 2
     # close in, the mask catches the pair on some iterates and not on
     # others, and the iteration never settles.  This pins that defect of
     # the masking rule (at its own dt and at dt/4 the preset passes).
     cfg = load_config(CONFIGS / "fkpp2d_square.ini")
-    cfg.out_dir = None
+    cfg.out_dir = str(tmp_path)
     cfg.dt /= 2
     cfg.nm_list = (10,)
     report = run_experiment(cfg)
@@ -398,7 +408,7 @@ def test_failures_record_a_zero_norm_reference_level(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("problem", ["advection", "kdv_soliton"])
 def test_error_series_matches_per_level_definition(problem, tmp_path, monkeypatch):
-    cfg = ExperimentConfig(problem=problem)
+    cfg = ExperimentConfig(problem=problem, out_dir=str(tmp_path))
     if problem == "advection":
         cfg.n_nodes, cfg.chi, cfg.c = 121, 60.0, 0.5
         cfg.dt, cfg.t_max = 1.0 / 256, 0.5
@@ -423,14 +433,15 @@ def test_error_series_matches_per_level_definition(problem, tmp_path, monkeypatc
     (traj,) = trajectories
     law = model.coefficient_law
     errors = {}
-    scores = harness._score(replace(cfg, out_dir=str(tmp_path)), fem, u0, {nm: track}, errors)
+    scores = harness._score(cfg, fem, u0, {nm: track}, errors)
     assert errors == {}
     eps, amp = scores[nm]
     snap_indices = [0, n_steps // 4, n_steps // 2, n_steps]
     snaps = {i: np.loadtxt(tmp_path / f"snapshot_nm{nm:03d}_t{round(100 * i / n_steps):03d}.csv",
                            delimiter=",", skiprows=1) for i in snap_indices}
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        f"snapshot_nm{nm:03d}_t{tag:03d}.csv" for tag in (0, 25, 50, 100))
+        [f"mnorm_nm{nm:03d}.csv"] + [f"snapshot_nm{nm:03d}_t{tag:03d}.csv"
+                                     for tag in (0, 25, 50, 100)])
     assert any(i % harness._CHUNK for i in snap_indices[1:])  # one inside a chunk
 
     # the definition, one level at a time: the same midpoint steps, each
@@ -527,13 +538,15 @@ def test_n_soliton_reference_blocks_are_bounded(monkeypatch):
         np.testing.assert_array_equal(row, inner(cfg.c_scatter, k, fem.coords, cfg.dt * i))
 
 
-def test_run_never_holds_the_reference_series():
+def test_run_never_holds_the_reference_series(tmp_path):
     # 513 levels of 799 nodes: the whole series alone would be 3.28 MB,
     # whether a closed form evaluates it or the FKPP integrator steps it
     for cfg in (ExperimentConfig(problem="advection", n_nodes=801, chi=60.0, c=0.5,
-                                 dt=1.0 / 1024, t_max=0.5, nm_list=(4, 6)),
+                                 dt=1.0 / 1024, t_max=0.5, nm_list=(4, 6),
+                                 out_dir=str(tmp_path / "advection")),
                 ExperimentConfig(problem="fkpp", n_nodes=801, chi=40.0, nu=50.0,
-                                 dt=1e-4, t_max=5.12e-2, nm_list=(4, 6))):
+                                 dt=1e-4, t_max=5.12e-2, nm_list=(4, 6),
+                                 out_dir=str(tmp_path / "fkpp"))):
         levels = cfg.n_steps() + 1
         assert levels == 513
         tracemalloc.start()
@@ -546,7 +559,7 @@ def test_run_never_holds_the_reference_series():
         assert peak < levels * 799 * 8, cfg.problem
 
 
-def test_each_reference_level_is_evaluated_once(monkeypatch):
+def test_each_reference_level_is_evaluated_once(tmp_path, monkeypatch):
     blocks, single = [], []
     inner = harness.kdv_one_soliton
 
@@ -556,7 +569,7 @@ def test_each_reference_level_is_evaluated_once(monkeypatch):
 
     monkeypatch.setattr(harness, "kdv_one_soliton", counting)
     cfg = replace(ExperimentConfig(problem="kdv_eigen"), a=-5.0, b=15.0, n_nodes=101,
-                  beta_speed=4.0, dt=2e-3, t_max=0.3, nm_list=(6, 8))
+                  beta_speed=4.0, dt=2e-3, t_max=0.3, nm_list=(6, 8), out_dir=str(tmp_path))
     report = run_experiment(cfg)
     assert report.errors == {} and [r.nm for r in report.rows] == [6, 8]
     assert len(single) == 1  # the initial condition
@@ -565,7 +578,7 @@ def test_each_reference_level_is_evaluated_once(monkeypatch):
                                   cfg.dt * np.arange(cfg.n_steps() + 1))
 
 
-def test_scoring_arrays_are_bounded_on_a_large_mesh(monkeypatch):
+def test_scoring_arrays_are_bounded_on_a_large_mesh(tmp_path, monkeypatch):
     # 4096 dofs: blocks of 2^16 / 4096 = 16 levels, five for 71 levels, and
     # no reference block or reconstruction holds more than 2^16 values
     ref_shapes, nodal_shapes = [], []
@@ -584,7 +597,7 @@ def test_scoring_arrays_are_bounded_on_a_large_mesh(monkeypatch):
     monkeypatch.setattr(harness, "_reference_blocks", recording_blocks)
     monkeypatch.setattr(harness, "reconstruct_nodal", recording_nodal)
     cfg = ExperimentConfig(problem="fkpp", n_per_side=64, chi=25.0, nu=50.0, tol_deg=2e-3,
-                           dt=5e-4, t_max=3.5e-2, nm_list=(3, 5))
+                           dt=5e-4, t_max=3.5e-2, nm_list=(3, 5), out_dir=str(tmp_path))
     report = run_experiment(cfg)
     assert report.errors == {} and [r.nm for r in report.rows] == [3, 5]
     assert ref_shapes == [(16, 4096)] * 4 + [(7, 4096)]
@@ -654,6 +667,7 @@ def test_operators_are_assembled_once_per_run(tmp_path, monkeypatch):
         monkeypatch.setattr(dynamics, name, counting(name))
     cfg = load_config(write_config(tmp_path, TINY_ADVECTION.replace("nm_list = 4 6",
                                                                     "nm_list = 4 6 5")))
+    cfg.out_dir = str(tmp_path / "run")
     report = run_experiment(cfg)
     assert [r.nm for r in report.rows] == [4, 6, 5] and not report.errors
     assert calls == {"assemble_T": 1, "assemble_D": 1}
@@ -731,7 +745,7 @@ def test_frobenius_checks_the_transported_basis(tmp_path, monkeypatch):
     # a failed reference fails the run
     first_scaled = 0
     with pytest.raises(InvariantError, match="N_M=4: transported basis"):
-        compare_frobenius(replace(cfg, out_dir=None))
+        compare_frobenius(cfg)
 
 
 def test_chi_sweep_collects_all_runs(tmp_path):
@@ -774,10 +788,10 @@ def test_scsa_driver_writes_sweep_tables(tmp_path):
     assert np.all(best[:, 2] >= 0.0)
 
 
-def test_scsa_preset_solves_once_per_chi(monkeypatch):
+def test_scsa_preset_solves_once_per_chi(tmp_path, monkeypatch):
     # both representations come from one capped eigensolve per chi
     cfg = load_config(CONFIGS / "scsa_double_gaussian.ini")
-    cfg.out_dir = None
+    cfg.out_dir = str(tmp_path)
     requested = []
     solve = scsa.solve_schrodinger_eig
 
@@ -792,11 +806,14 @@ def test_scsa_preset_solves_once_per_chi(monkeypatch):
     assert len(requested) == 8
 
 
-def test_scsa_driver_rejects_dynamic_experiment():
-    cfg = ExperimentConfig(problem="scsa")
+def test_scsa_driver_rejects_dynamic_experiment(tmp_path):
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(problem="scsa", out_dir=str(out))
     cfg.chi_grid = (50.0,)
     with pytest.raises(ValueError):
         run_experiment(cfg)
-    dyn = ExperimentConfig(problem="advection")
-    with pytest.raises(ValueError):
+    # a chi_grid does not make a dynamic problem a signal study
+    dyn = ExperimentConfig(problem="advection", chi_grid=(50.0,), out_dir=str(out))
+    with pytest.raises(ValueError, match="scsa needs an scsa problem, got 'advection'"):
         run_scsa(dyn)
+    assert not out.exists()
