@@ -21,9 +21,11 @@ never builds the full (n, n, n) tensor.
 
 Each stage of the iteration (midpoint, proposal, change, scale) is one
 elementwise operation on the whole of y, and the other named fields are
-views into it.  No state vector is ever written in place, so states are
-shared without copying.  Level k sits at t_k = k dt (``SolverConfig.times``):
-no state or trajectory keeps a clock.
+views into it.  The right-hand side writes each field into its slice of
+one output array, and a step reuses its midpoint and change buffers:
+buffers are written, states never, so states are shared without copying.
+Level k sits at t_k = k dt (``SolverConfig.times``): no state or
+trajectory keeps a clock.
 """
 
 from __future__ import annotations
@@ -91,41 +93,33 @@ class SolverConfig:
 
 
 class StateLayout:
-    """Offsets of the fields in the flat state vector.
+    """Slices of the fields in the flat state vector.
 
     y = [coeffs, lambda, the unique entries of T (``pack_symmetric``
-    order), the aux matrices in ``aux_names`` order]; the offsets and the
-    pair-matrix gather are computed once, not on every evaluation.
+    order), the aux matrices in ``aux_names`` order]; the slices, the
+    shapes and the pair-matrix gather are computed once, not on every
+    evaluation.
     """
 
     def __init__(self, n_coeffs: int, n_modes: int, aux_names: tuple):
         self.n_modes = n = n_modes
         self.aux_names = tuple(aux_names)
-        sizes = [n_coeffs, n, n * (n + 1) * (n + 2) // 6] + [n * n] * len(self.aux_names)
-        ends = np.cumsum(sizes).tolist()
-        self._slices = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+        ends = np.cumsum([n_coeffs, n, n * (n + 1) * (n + 2) // 6]).tolist()
+        self._fields = tuple(slice(a, b) for a, b in zip([0] + ends[:-1], ends))
+        # the aux matrices follow as one (len(aux), n, n) block
+        self._aux = slice(ends[-1], None), (len(self.aux_names), n, n)
         self._pairs = symmetric_index(n).pairs
 
     def views(self, y: np.ndarray):
         """Views (coeffs, lam, packed T, aux dict) into y."""
-        n = self.n_modes
-        coeffs, lam, t, *mats = (y[s] for s in self._slices)
-        aux = {k: X.reshape(n, n) for k, X in zip(self.aux_names, mats)}
-        return coeffs, lam, t, aux
+        (c, lam, t), (aux, shape) = self._fields, self._aux
+        return y[c], y[lam], y[t], dict(zip(self.aux_names, y[aux].reshape(shape)))
 
     def split(self, y: np.ndarray):
         """(coeffs, lam, Tp, aux dict) of y, with Tp the (n, n(n+1)/2) pair
         matrix of T (``tensors.SymmetricIndex``)."""
         coeffs, lam, t, aux = self.views(y)
         return coeffs, lam, t[self._pairs], aux
-
-    def pack(self, *fields) -> np.ndarray:
-        """The flat vector holding ``fields`` in layout order, each written
-        into its slice of one new array."""
-        y = np.empty(self._slices[-1].stop)
-        for s, a in zip(self._slices, fields):
-            y[s] = np.ravel(a)
-        return y
 
 
 @dataclass
@@ -200,15 +194,18 @@ def _generator(fields, model: EquationModel, cfg: SolverConfig):
 
 
 def _rhs(y: np.ndarray, layout: StateLayout, model: EquationModel, cfg: SolverConfig):
-    """Flat right-hand side of the reduced system at y."""
+    """Flat right-hand side of the reduced system at y, each field written
+    into its slice of one new array."""
     coeffs, lam, Tp, aux = fields = layout.split(y)
     gamma, theta, M = _generator(fields, model, cfg)
-    return layout.pack(
-        model.coeff_rhs(coeffs, M, gamma),
-        -cfg.chi * theta.diagonal(),
-        bracket3(M, Tp),
-        *(commutator(X, M) for X in aux.values()),
-    )
+    out = np.empty_like(y)
+    f_coeffs, f_lam, f_t, f_aux = layout.views(out)
+    f_coeffs[:] = model.coeff_rhs(coeffs, M, gamma)
+    np.multiply(theta.diagonal(), -cfg.chi, out=f_lam)
+    bracket3(M, Tp, out=f_t)
+    for X, f_X in zip(aux.values(), f_aux.values()):
+        commutator(X, M, out=f_X)
+    return out
 
 
 def _closest_pair(start: np.ndarray, last: np.ndarray, layout: StateLayout,
@@ -245,6 +242,10 @@ def step_midpoint(state: ReducedState, model: EquationModel, cfg: SolverConfig):
     iterations raises FixedPointError; running out names the closest
     unmasked eigenvalue pair (``_closest_pair``).
 
+    Buffers are written, states never: the midpoint and the change reuse
+    two buffers, and y + dt f is formed in each iteration's new right-hand
+    side array, in the order of 0.5 (y + new) and y + dt f(half).
+
     Returns
     -------
     (new_state, M_half) : the advanced state and the generator evaluated at
@@ -252,12 +253,14 @@ def step_midpoint(state: ReducedState, model: EquationModel, cfg: SolverConfig):
     """
     dt, y, layout = cfg.dt, state.y, state.layout
     scale = 1.0 + np.abs(y).max()
+    half, delta = np.empty_like(y), np.empty_like(y)
     new = y
     last_delta = np.inf
     for _ in range(cfg.fp_max_iters):
-        half = 0.5 * (y + new)
-        prop = y + dt * _rhs(half, layout, model, cfg)
-        last_delta = float(np.abs(prop - new).max())
+        np.multiply(np.add(y, new, out=half), 0.5, out=half)
+        prop = _rhs(half, layout, model, cfg)
+        np.add(np.multiply(prop, dt, out=prop), y, out=prop)
+        last_delta = float(np.abs(np.subtract(prop, new, out=delta), out=delta).max())
         if not np.isfinite(last_delta):
             raise FixedPointError("midpoint iteration diverged")
         new = prop
@@ -268,7 +271,8 @@ def step_midpoint(state: ReducedState, model: EquationModel, cfg: SolverConfig):
             f"no convergence in {cfg.fp_max_iters} iterations "
             f"(last delta {last_delta:.3e}); {_closest_pair(y, half, layout, model, cfg)}"
         )
-    *_, M_half = _generator(layout.split(0.5 * (y + new)), model, cfg)
+    np.multiply(np.add(y, new, out=half), 0.5, out=half)
+    *_, M_half = _generator(layout.split(half), model, cfg)
     return ReducedState(new, layout), M_half
 
 
@@ -299,7 +303,7 @@ def initial_state(basis: ReducedBasis, coeffs0: np.ndarray, model: EquationModel
     aux = [_operator(root, kind)[:n, :n] for kind in model.required_aux]
     T = _operator(root, "T")[:n, :n, :n]
     layout = StateLayout(coeffs0.size, n, model.required_aux)
-    y = layout.pack(coeffs0, basis.lam, pack_symmetric(T), *aux)
+    y = np.concatenate([coeffs0, basis.lam, pack_symmetric(T), *(X.ravel() for X in aux)])
     return ReducedState(y, layout)
 
 

@@ -163,8 +163,6 @@ def _check(cfg: ExperimentConfig) -> None:
         raise ValueError(f"unknown problem {cfg.problem!r}")
     if cfg.problem != "scsa":
         cfg.n_steps()
-    if cfg.n_per_side is not None and cfg.problem != "fkpp":
-        raise ValueError(f"[mesh] n_per_side is for fkpp only, got problem {cfg.problem!r}")
     if cfg.bc is not None and cfg.bc not in (DIRICHLET, NEUMANN):
         raise ValueError(f"bc must be {DIRICHLET} or {NEUMANN}, got {cfg.bc!r}")
     if not cfg.nm_list or min(cfg.nm_list) < 1:
@@ -200,7 +198,8 @@ def _check(cfg: ExperimentConfig) -> None:
             raise ValueError("KdV needs scattering data or beta_speed > 0, "
                              f"got beta_speed = {cfg.beta_speed}")
     if cfg.problem == "scsa" and cfg.signal != "double_gaussian":
-        return  # the signal file sets the mesh
+        _mesh(cfg)  # the signal file sets the mesh, but _mesh still checks the config
+        return
     dofs = _dofs(cfg)
     n_max = cfg.n_modes_cap if cfg.problem == "scsa" else max(cfg.nm_list)
     if n_max > dofs:
@@ -281,8 +280,11 @@ _TABLE_HEADER = ",".join(f.name for f in fields(MetricsRow))
 
 
 def _mesh(cfg: ExperimentConfig):
-    """(mesh, boundary condition) of the experiment."""
-    if cfg.problem == "fkpp" and cfg.n_per_side is not None:
+    """(mesh, boundary condition) of the experiment; ValueError for an
+    n_per_side outside fkpp, whichever entry point asks."""
+    if cfg.n_per_side is not None:
+        if cfg.problem != "fkpp":
+            raise ValueError(f"[mesh] n_per_side is for fkpp only, got problem {cfg.problem!r}")
         return build_structured_square_mesh(cfg.n_per_side), cfg.bc or NEUMANN
     # Neumann for signals: shifted signals keep a nonzero baseline at the
     # boundary that Dirichlet modes cannot represent
@@ -632,5 +634,5 @@ def run_chi_sweep(cfg: ExperimentConfig):
         combined.extend((chi, *astuple(r)) for r in rep.rows)
     if combined:
         _save_csv(cfg.out_dir, "sweep.csv", "chi," + _TABLE_HEADER, np.array(combined))
-        _write_manifest(cfg)
+    _write_manifest(cfg)
     return reports

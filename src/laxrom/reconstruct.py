@@ -57,9 +57,9 @@ def rotation_step(Q: np.ndarray, M: np.ndarray, dt: float, renormalize: bool) ->
     InvariantError is raised when Q C is off orthonormal by more than
     ORTHONORMALITY_TOL, and otherwise it is re-orthonormalized.
     """
-    h = 0.5 * dt
+    hM = 0.5 * dt * M
     eye = np.eye(Q.shape[0])
-    Q = Q @ np.linalg.solve(eye - h * M, eye + h * M)
+    Q = Q @ np.linalg.solve(eye - hM, eye + hM)
     if not renormalize:
         return Q
     dev = float(np.abs(Q.T @ Q - eye).max())

@@ -169,7 +169,7 @@ def assemble_D3(basis: ReducedBasis) -> np.ndarray:
     return D.T * basis.lam[None, :] + basis.chi * E
 
 
-def bracket3(M: np.ndarray, Tp: np.ndarray) -> np.ndarray:
+def bracket3(M: np.ndarray, Tp: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rank-3 bracket {M, T}_ijk = sum_l M_li T_ljk + M_lj T_ilk + M_lk T_ijl.
 
     This is the generator of the tensor evolution under a rotating basis;
@@ -178,13 +178,15 @@ def bracket3(M: np.ndarray, Tp: np.ndarray) -> np.ndarray:
     tensor is: then all three terms are index permutations of the first,
     t1_ijk = sum_l M_li T_ljk, and t1 is symmetric in (j, k), so one
     (n x n) by (n x P) product with the pair matrix Tp of T gives all of it.
-    Returns the bracket packed (``pack_symmetric`` order): only the unique
-    entries t1_ijk + t1_jik + t1_kij are summed.
+    Returns the bracket packed (``pack_symmetric`` order), written into
+    ``out`` when given: only the unique entries t1_ijk + t1_jik + t1_kij
+    are summed.
     """
     t = (M.T @ Tp).ravel()[symmetric_index(M.shape[0]).bracket]
-    return t[0] + t[1] + t[2]
+    out = np.add(t[0], t[1], out=out)
+    return np.add(out, t[2], out=out)
 
 
-def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix commutator [A, B] = A B - B A."""
-    return A @ B - B @ A
+def commutator(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix commutator [A, B] = A B - B A, written into ``out`` when given."""
+    return np.subtract(A @ B, B @ A, out=out)

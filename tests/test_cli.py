@@ -165,6 +165,8 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
          "scsa needs an scsa problem, got 'advection'"),
         ("run", ADVECTION_INI.replace("n_nodes = 81", "n_per_side = 20"),
          f"{path}: [mesh] n_per_side is for fkpp only, got problem 'advection'"),
+        ("scsa", scsa + "signal = signal.csv\n[mesh]\nn_per_side = 20\n",
+         f"{path}: [mesh] n_per_side is for fkpp only, got problem 'scsa'"),
         ("frobenius", ADVECTION_INI.replace("chi = 60", "chi = 60\nnm_ref = 0"),
          "nm_ref must be at least 1, got 0"),
         ("run", ADVECTION_INI + "[solver]\nfp_tol = 0\n", "fp_tol must be positive"),
@@ -195,11 +197,7 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
         assert not out.exists()  # rejected before any work
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_failed_stage_exits_nonzero(tmp_path, capsys):
-    path = tmp_path / "diverging.ini"
-    path.write_text(
-        """
+DIVERGING_FKPP_INI = """
 [experiment]
 problem = fkpp
 [mesh]
@@ -213,7 +211,12 @@ t_max = 0.1
 [model]
 nu = 400
 """
-    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_stage_exits_nonzero(tmp_path, capsys):
+    path = tmp_path / "diverging.ini"
+    path.write_text(DIVERGING_FKPP_INI)
     out = str(tmp_path / "out")
     assert main(["run", str(path), "--out", out]) == 1
     assert "N_M=4" in capsys.readouterr().err
@@ -305,6 +308,16 @@ def test_sweep_subcommand(advection_ini, tmp_path):
     assert os.path.isdir(os.path.join(out, "chi_40"))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_that_fails_every_chi_writes_its_manifest(tmp_path, capsys):
+    path = tmp_path / "sweep.ini"
+    path.write_text(DIVERGING_FKPP_INI + "[sweep]\nchi_grid = 40 80\n")
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.count("diverged") == 2
+    assert sorted(p.name for p in out.iterdir()) == ["chi_40", "chi_80", "manifest.txt"]
+
+
 def test_default_output_directory_is_out(advection_ini, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["run", advection_ini]) == 0
@@ -340,5 +353,11 @@ def test_benchmark_hooks_are_harness_globals(advection_ini, tmp_path, monkeypatc
     tracer = module.Tracer()
     try:
         tracer.install()  # getattr raises AttributeError for a missing name
+        # the reduced step still calls each wrapped layer through its name
+        assert main(["run", advection_ini, "--out", str(tmp_path / "traced")]) == 0
     finally:
         tracer.unwrap()
+    traced = Counter(name for name, *_ in tracer.spans)
+    for name in ("tensors.bracket3", "tensors.commutator", "dynamics.build_M", "models.gamma"):
+        assert traced[name] > 0, name
+    assert tracer.counts["tensors.bracket3_calls"] == traced["tensors.bracket3"]

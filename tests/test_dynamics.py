@@ -32,6 +32,7 @@ from laxrom import (
     run,
     solve_schrodinger_eig,
     step_midpoint,
+    symmetric_index,
     unpack_symmetric,
 )
 from laxrom import dynamics
@@ -355,6 +356,81 @@ def test_step_never_unpacks_tensor(small_advection, name, monkeypatch):
     assert new.y.shape == state.y.shape and not np.array_equal(new.y, state.y)
     with pytest.raises(AssertionError, match="unpacked"):
         new.T  # the full tensor stays available, through the patched unpack
+
+
+def _plain_rhs(y, layout, model, cfg):
+    """The right-hand side with every field a new array, concatenated."""
+    coeffs, lam, Tp, aux = fields = layout.split(y)
+    gamma, theta, M = dynamics._generator(fields, model, cfg)
+    t = (M.T @ Tp).ravel()[symmetric_index(lam.size).bracket]
+    return np.concatenate([
+        model.coeff_rhs(coeffs, M, gamma),
+        -cfg.chi * theta.diagonal(),
+        t[0] + t[1] + t[2],
+        *((X @ M - M @ X).ravel() for X in aux.values()),
+    ])
+
+
+def _plain_step(y, layout, model, cfg):
+    """The implicit midpoint step with every stage a new array: (y+, M_half)."""
+    scale = 1.0 + np.abs(y).max()
+    new = y
+    for _ in range(cfg.fp_max_iters):
+        half = 0.5 * (y + new)
+        prop = y + cfg.dt * _plain_rhs(half, layout, model, cfg)
+        delta = np.abs(prop - new).max()
+        new = prop
+        if delta <= cfg.fp_tol * scale:
+            break
+    else:
+        raise AssertionError("the plain iteration did not converge")
+    *_, M_half = dynamics._generator(layout.split(0.5 * (y + new)), model, cfg)
+    return new, M_half
+
+
+@pytest.mark.parametrize("name", list(_MODELS))
+def test_step_bitwise_equals_plain_midpoint(small_advection, name):
+    # step_midpoint writes into buffers, but each operation and its order
+    # stay those of the plain iteration, so 20 steps agree bit for bit
+    model = _MODELS[name]
+    state = _model_state(small_advection, model)
+    cfg = SolverConfig(chi=60.0, dt=1e-4, t_max=2e-3)
+    y = state.y
+    for _ in range(cfg.n_steps()):
+        state, M_half = step_midpoint(state, model, cfg)
+        y, M_ref = _plain_step(y, state.layout, model, cfg)
+        assert state.y.tobytes() == y.tobytes()
+        assert M_half.tobytes() == M_ref.tobytes()
+
+
+def test_steps_share_no_memory_with_buffers(small_advection, monkeypatch):
+    # every array the dynamics allocates with empty_like is recorded: a
+    # returned state is one of them, read-only, and overlaps none of the
+    # others, the other state or the input state, which stays as it was
+    made = []
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty_like(self, *args, **kwargs):
+            made.append(np.empty_like(*args, **kwargs))
+            return made[-1]
+
+    model = _MODELS["kdv_eigen"]
+    state0 = _model_state(small_advection, model)
+    saved = state0.y.copy()
+    cfg = SolverConfig(chi=60.0, dt=1e-4, t_max=1e-3)
+    monkeypatch.setattr(dynamics, "np", RecordingNumpy())
+    state1, _ = step_midpoint(state0, model, cfg)
+    state2, _ = step_midpoint(state1, model, cfg)
+    monkeypatch.undo()
+    assert len(made) >= 6  # the half-step and change buffers and an RHS per step
+    for state, other in ((state1, state2), (state2, state1)):
+        assert not state.y.flags.writeable
+        for a in [state0.y, other.y] + [b for b in made if b is not state.y]:
+            assert not np.shares_memory(state.y, a)
+    assert state0.y.tobytes() == saved.tobytes()
 
 
 def _kdv_eigen_1d():

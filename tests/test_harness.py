@@ -765,6 +765,17 @@ def test_chi_sweep_collects_all_runs(tmp_path):
     assert os.path.isdir(os.path.join(tmp_path, "chi_80"))
 
 
+def test_n_per_side_outside_fkpp_is_rejected_in_process(tmp_path):
+    # _mesh owns the rule, so a config built in process meets it too
+    cfg = ExperimentConfig(problem="advection", n_per_side=20, n_nodes=81, chi=60.0,
+                           dt=0.03125, t_max=0.25, nm_list=(4,), out_dir=str(tmp_path / "out"))
+    for study in (run_experiment, compare_frobenius):
+        with pytest.raises(ValueError, match=r"^\[mesh\] n_per_side is for fkpp only, "
+                                             r"got problem 'advection'$"):
+            study(cfg)
+    assert not (tmp_path / "out").exists()
+
+
 def test_chi_sweep_requires_grid():
     cfg = ExperimentConfig(problem="advection")
     with pytest.raises(ValueError, match="chi_grid"):
