@@ -15,14 +15,7 @@ import argparse
 import logging
 import sys
 
-from .harness import (
-    check_command,
-    compare_frobenius,
-    load_config,
-    run_chi_sweep,
-    run_experiment,
-    run_scsa,
-)
+from .harness import compare_frobenius, load_config, run_chi_sweep, run_experiment, run_scsa
 
 
 def _add_common(sub):
@@ -52,8 +45,7 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(message)s")
     logging.getLogger("laxrom").setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
-        cfg = load_config(args.config)
-        check_command(cfg, args.command)
+        cfg = load_config(args.config, args.command)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

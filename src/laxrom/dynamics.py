@@ -82,6 +82,8 @@ class SolverConfig:
     def n_steps(self) -> int:
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if not np.isfinite(self.t_max):  # round() would overflow
+            raise ValueError(f"t_max must be finite, got {self.t_max}")
         n = int(round(self.t_max / self.dt))
         if n < 1 or abs(n * self.dt - self.t_max) > 1e-9 * max(self.t_max, 1.0):
             raise ValueError(f"t_max={self.t_max} is not a multiple of dt={self.dt}")
@@ -166,10 +168,14 @@ def build_M(lam, theta, chi: float, tol_deg: float = 1e-8) -> np.ndarray:
     """
     lam = np.asarray(lam, dtype=float)
     denom = lam[:, None] - lam[None, :]
-    ok = np.abs(denom) > tol_deg * (1.0 + np.abs(lam))[:, None]
-    ok &= _strict_upper(lam.size)
-    U = np.divide(chi * theta, denom, out=np.zeros_like(denom), where=ok)
+    U = np.divide(chi * theta, denom, out=np.zeros_like(denom),
+                  where=_unmasked(lam, np.abs(denom), tol_deg))
     return U - U.T
+
+
+def _unmasked(lam: np.ndarray, gap: np.ndarray, tol_deg: float) -> np.ndarray:
+    """The pairs i < j whose gap |lambda_i - lambda_j| build_M keeps."""
+    return (gap > tol_deg * (1.0 + np.abs(lam))[:, None]) & _strict_upper(lam.size)
 
 
 def frobenius_norm_sq(M: np.ndarray) -> float:
@@ -215,20 +221,23 @@ def _closest_pair(start: np.ndarray, last: np.ndarray, layout: StateLayout,
     threshold and |M_ij| there and at the last half-step iterate.  M_ij
     grows like the reciprocal of the gap, and a pair that the mask catches
     on some iterates and not on others keeps the iteration from settling."""
-    at = []
-    for y in (start, last):
+    def at(y):
         fields = layout.split(y)
         lam = fields[1]
-        ratio = np.abs(lam[:, None] - lam) / (cfg.tol_deg * (1.0 + np.abs(lam))[:, None])
-        at.append((ratio, _generator(fields, model, cfg)[2]))
-    (ratio, M), (ratio_last, M_last) = at
-    unmasked = (ratio > 1.0) & _strict_upper(ratio.shape[0])
+        gap = np.abs(lam[:, None] - lam)
+        return lam, gap, gap / (1.0 + np.abs(lam))[:, None], _generator(fields, model, cfg)[2]
+
+    (lam, gap, rel, M), (_, _, rel_last, M_last) = at(start), at(last)
+    unmasked = _unmasked(lam, gap, cfg.tol_deg)
     if not unmasked.any():
         return "no unmasked pair"
-    i, j = np.unravel_index(np.argmin(np.where(unmasked, ratio, np.inf)), ratio.shape)
-    return (f"closest unmasked pair ({i}, {j}): gap {ratio[i, j]:.3g} x its tol_deg "
+    # the relative gap orders the pairs as gap / threshold does, also at tol_deg = 0
+    i, j = np.unravel_index(np.argmin(np.where(unmasked, rel, np.inf)), rel.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio, ratio_last = np.divide([rel[i, j], rel_last[i, j]], cfg.tol_deg)
+    return (f"closest unmasked pair ({i}, {j}): gap {ratio:.3g} x its tol_deg "
             f"threshold and |M_ij| {abs(M[i, j]):.3e} at the step start, "
-            f"{ratio_last[i, j]:.3g} x and {abs(M_last[i, j]):.3e} at the last half-step iterate")
+            f"{ratio_last:.3g} x and {abs(M_last[i, j]):.3e} at the last half-step iterate")
 
 
 def step_midpoint(state: ReducedState, model: EquationModel, cfg: SolverConfig):

@@ -119,11 +119,11 @@ _SCHEMA = {
 }
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, command: str | None = None) -> ExperimentConfig:
     """Parse an INI experiment file (sections per _SCHEMA), strictly.
 
-    Ranges and combinations are checked here too, so a bad file fails
-    before any work or output.
+    Ranges, combinations and what the subcommand ``command`` needs are
+    checked here too (``_check``), so a bad file fails before any work or output.
     """
     parser = configparser.ConfigParser()
     with open(path) as f:
@@ -151,16 +151,34 @@ def load_config(path) -> ExperimentConfig:
     cfg = ExperimentConfig(**values, source_path=str(path),
                            source_hash=hashlib.sha256(raw.encode()).hexdigest())
     try:
-        _check(cfg)
+        _check(cfg, command)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return cfg
 
 
-def _check(cfg: ExperimentConfig) -> None:
-    """Ranges and combinations load_config rejects (ValueError)."""
+def _check(cfg: ExperimentConfig, command: str | None = None) -> None:
+    """Every rule a config and the subcommand running it must meet (ValueError).
+
+    ``command`` defaults to the problem's own: scsa for scsa, run for the
+    others.  load_config, and so the command line, and every driver call
+    this before any work; only frobenius reads nm_ref.
+    """
     if cfg.problem not in PROBLEMS:
         raise ValueError(f"unknown problem {cfg.problem!r}")
+    command = command or ("scsa" if cfg.problem == "scsa" else "run")
+    if command == "scsa" and cfg.problem != "scsa":
+        raise ValueError(f"scsa needs an scsa problem, got {cfg.problem!r}")
+    if command != "scsa" and cfg.problem == "scsa":
+        raise ValueError(f"{command} needs a dynamic problem; "
+                         "scsa configs run with the scsa subcommand")
+    if command == "sweep" and not cfg.chi_grid:
+        raise ValueError("sweep needs a chi_grid")
+    for key in ("chi", "chi_grid", "dt", "t_max", "c", "nu", "beta_speed", "x0",
+                "c_scatter", "k_scatter"):  # floats, or tuples of floats, if set
+        value = getattr(cfg, key)
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{key} must be finite, got {value}")
     if cfg.problem != "scsa":
         cfg.n_steps()
     if cfg.bc is not None and cfg.bc not in (DIRICHLET, NEUMANN):
@@ -204,29 +222,11 @@ def _check(cfg: ExperimentConfig) -> None:
     n_max = cfg.n_modes_cap if cfg.problem == "scsa" else max(cfg.nm_list)
     if n_max > dofs:
         raise ValueError(f"{n_max} modes requested from a mesh of {dofs} dofs")
-
-
-def check_command(cfg: ExperimentConfig, command: str) -> None:
-    """What the subcommand ``command`` needs beyond load_config (ValueError).
-
-    The command line calls this next to load_config, before it writes
-    anything.  Only frobenius reads nm_ref, so load_config cannot hold it
-    to the mesh.
-    """
-    if command == "scsa" and cfg.problem != "scsa":
-        raise ValueError(f"scsa needs an scsa problem, got {cfg.problem!r}")
-    if command != "scsa" and cfg.problem == "scsa":
-        raise ValueError(f"{command} needs a dynamic problem; "
-                         "scsa configs run with the scsa subcommand")
-    if command == "sweep" and not cfg.chi_grid:
-        raise ValueError("sweep needs a chi_grid")
-    if command != "frobenius":
-        return
-    if cfg.nm_ref < 1:
-        raise ValueError(f"nm_ref must be at least 1, got {cfg.nm_ref}")
-    dofs = _dofs(cfg)
-    if cfg.nm_ref > dofs:
-        raise ValueError(f"nm_ref = {cfg.nm_ref} modes requested from a mesh of {dofs} dofs")
+    if command == "frobenius":
+        if cfg.nm_ref < 1:
+            raise ValueError(f"nm_ref must be at least 1, got {cfg.nm_ref}")
+        if cfg.nm_ref > dofs:
+            raise ValueError(f"nm_ref = {cfg.nm_ref} modes requested from a mesh of {dofs} dofs")
 
 
 def eps_l2(fem, u_ref: np.ndarray, u_num: np.ndarray):
@@ -305,8 +305,6 @@ def _exact(cfg: ExperimentConfig, x, t) -> np.ndarray:
     """Closed-form advection or KdV solution; x and t broadcast."""
     if cfg.problem == "advection":
         return np.exp(-250.0 * (x - cfg.c * t - 0.25) ** 2)
-    if cfg.problem not in ("kdv_eigen", "kdv_soliton"):
-        raise ValueError(f"problem {cfg.problem!r} has no dynamic model")
     if cfg.c_scatter is not None:
         return kdv_n_soliton(cfg.c_scatter, cfg.k_scatter, x, t)
     return kdv_one_soliton(cfg.beta_speed, cfg.x0, x, t)
@@ -358,15 +356,11 @@ def _make_model(cfg: ExperimentConfig, basis_full):
     if cfg.problem == "kdv_eigen":
         return KdvEigenModel(cfg.chi)
     if cfg.problem == "kdv_soliton":
-        if cfg.chi != 1.0:
-            raise ValueError("the squared-mode expansion is specific to chi = 1")
         n_neg = int(np.count_nonzero(basis_full.lam < -cfg.tol_deg))
         if n_neg == 0:
             raise ValueError("no bound state: soliton expansion is empty")
         return KdvSolitonModel(n_neg)
-    if cfg.problem == "fkpp":
-        return FkppModel(cfg.nu, cfg.chi)
-    raise ValueError(f"problem {cfg.problem!r} has no dynamic model")
+    return FkppModel(cfg.nu, cfg.chi)
 
 
 def _setup(cfg: ExperimentConfig, nm_max: int):
@@ -528,6 +522,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     Per N_M failures are recorded in the report and do not stop the other
     mode counts.  Returns the metrics report (rows in nm_list order).
     """
+    _check(cfg, "run")
     nm_max = max(cfg.nm_list)
     fem, u0, basis_full, model = _setup(cfg, nm_max)
     log.info("[%s] %d dofs, %d steps, modes up to %d",
@@ -552,6 +547,7 @@ def compare_frobenius(cfg: ExperimentConfig):
     as in run_experiment, {nm: message}.  A failure at nm_ref fails the run.
     An nm_ref in nm_list reuses the reference trajectory.
     """
+    _check(cfg, "frobenius")
     _, u0, basis_full, model = _setup(cfg, max(max(cfg.nm_list), cfg.nm_ref))
     ref_traj = _trajectory(cfg, basis_full, model, u0, cfg.nm_ref)[1]
     ref = ref_traj.frob
@@ -583,10 +579,7 @@ def run_scsa(cfg: ExperimentConfig):
     every requested method.  Writes sweep_<method>.csv, best_<method>.csv
     and summary.csv.
     """
-    if cfg.problem != "scsa":
-        raise ValueError(f"scsa needs an scsa problem, got {cfg.problem!r}")
-    if not cfg.chi_grid:
-        raise ValueError("scsa needs a chi_grid")
+    _check(cfg, "scsa")
     if cfg.signal == "double_gaussian":
         fem = _build_space(cfg)
         x = fem.coords
@@ -622,8 +615,7 @@ def run_chi_sweep(cfg: ExperimentConfig):
     Each chi runs in its own subdirectory of out_dir; the combined table
     (chi, nm, errors...) lands in sweep.csv.  Returns {chi: MetricsReport}.
     """
-    if not cfg.chi_grid:
-        raise ValueError("sweep needs a chi_grid")
+    _check(cfg, "sweep")
     reports = {}
     combined = []
     for chi in cfg.chi_grid:

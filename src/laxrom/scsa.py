@@ -182,6 +182,8 @@ def read_signal_csv(path):
     data = np.loadtxt(path, delimiter=",", skiprows=skip)
     if data.ndim != 2 or data.shape[1] < 2:
         raise ValueError(f"{path}: expected two columns (x, u)")
+    if not np.all(np.isfinite(data[:, :2])):
+        raise ValueError(f"{path}: non-finite sample (nan or inf)")
     order = np.argsort(data[:, 0])
     x, u = data[order, 0], data[order, 1]
     if x.size < 3:

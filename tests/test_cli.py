@@ -175,6 +175,29 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
          f"{path}: [solver] tol_deg must be at least 0, got -1"),
         ("run", ADVECTION_INI + "[solver]\ntol_deg = nan\n",
          f"{path}: [solver] tol_deg must be at least 0, got nan"),
+        ("run", ADVECTION_INI.replace("chi = 60", "chi = nan"),
+         f"{path}: chi must be finite, got nan"),
+        ("run", ADVECTION_INI.replace("chi = 60", "chi = inf"),
+         f"{path}: chi must be finite, got inf"),
+        ("sweep", ADVECTION_INI + "[sweep]\nchi_grid = 40 nan\n",
+         f"{path}: chi_grid must be finite, got (40.0, nan)"),
+        ("run", ADVECTION_INI.replace("dt = 0.03125", "dt = inf"),
+         f"{path}: dt must be finite, got inf"),
+        ("run", ADVECTION_INI.replace("t_max = 0.25", "t_max = inf"),
+         f"{path}: t_max must be finite, got inf"),
+        ("run", ADVECTION_INI.replace("c = 0.5", "c = nan"), f"{path}: c must be finite, got nan"),
+        ("run", DIVERGING_FKPP_INI.replace("nu = 400", "nu = nan"),
+         f"{path}: nu must be finite, got nan"),
+        ("run", soliton.replace("chi = 60", "chi = 1") + "beta_speed = nan\n",
+         f"{path}: beta_speed must be finite, got nan"),
+        ("run", soliton.replace("chi = 60", "chi = 1") + "beta_speed = inf\n",
+         f"{path}: beta_speed must be finite, got inf"),
+        ("run", soliton.replace("chi = 60", "chi = 1") + "beta_speed = 4\nx0 = -inf\n",
+         f"{path}: x0 must be finite, got -inf"),
+        ("run", kdv3.replace("c_scatter = 0.05 0.15 10.0", "c_scatter = 0.05 nan 10.0"),
+         f"{path}: c_scatter must be finite, got (0.05, nan, 10.0)"),
+        ("run", kdv3.replace("k_scatter = 1.0 1.5 1.75", "k_scatter = 1.0 1.5 inf"),
+         f"{path}: k_scatter must be finite, got (1.0, 1.5, inf)"),
         ("run", kdv3.replace("k_scatter = 1.0 1.5 1.75", "k_scatter = 1.0 1.5"),
          "c_scatter and k_scatter must be given together"),
         ("run", kdv3.replace("c_scatter = 0.05 0.15 10.0", "c_scatter = 0.05 -0.15 10.0"),

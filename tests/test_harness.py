@@ -174,7 +174,7 @@ def test_dofs_are_counted_without_assembly(path, tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "assemble", unassembled)
     cfg = load_config(path)
     if cfg.problem != "scsa":
-        harness.check_command(cfg, "frobenius")
+        harness._check(cfg, "frobenius")
     monkeypatch.undo()
     assert harness._dofs(cfg) == harness._build_space(cfg).n_active
     if cfg.n_per_side is not None and cfg.bc == "dirichlet":
@@ -346,6 +346,24 @@ def test_near_degenerate_crossing_names_its_pair(tmp_path):
         r"its tol_deg threshold and \|M_ij\| 5\.0\d\de\+02 at the step start, "
         r"0\.98 x and 0\.000e\+00 at the last half-step iterate",
         report.errors[10]), report.errors
+
+
+def test_closest_pair_at_zero_tol_deg_is_an_unmasked_upper_pair(tmp_path, recwarn):
+    # tol_deg = 0 makes every threshold 0 and every gap inf times it; the
+    # pair named is still one i < j that build_M keeps, found without a warning
+    cfg = load_config(write_config(
+        tmp_path, TINY_ADVECTION + "[solver]\ntol_deg = 0\nfp_max_iters = 1\n"))
+    cfg.out_dir = str(tmp_path / "out")
+    report = run_experiment(cfg)
+    assert report.rows == [] and sorted(report.errors) == [4, 6]
+    lam = harness._setup(cfg, 6)[2].lam
+    for nm, msg in report.errors.items():
+        pair = re.search(r"closest unmasked pair \((\d+), (\d+)\): gap inf x its tol_deg", msg)
+        assert msg.startswith("FixedPointError: ") and pair, msg
+        i, j = map(int, pair.groups())
+        assert i < j < nm and lam[i] != lam[j]
+    assert "(0, 0)" not in Path(cfg.out_dir, "failures.txt").read_text()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_failures_record_a_basis_off_g_orthonormal(tmp_path, monkeypatch):
@@ -776,10 +794,25 @@ def test_n_per_side_outside_fkpp_is_rejected_in_process(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_chi_sweep_requires_grid():
-    cfg = ExperimentConfig(problem="advection")
-    with pytest.raises(ValueError, match="chi_grid"):
+def test_chi_sweep_requires_grid(tmp_path):
+    cfg = ExperimentConfig(problem="advection", out_dir=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match="^sweep needs a chi_grid$"):
         run_chi_sweep(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_frobenius_driver_checks_nm_ref_before_set_up(tmp_path, monkeypatch):
+    # the command line's message, raised in process before any eigensolve
+    def unsolved(*args):
+        raise AssertionError("nm_ref reached the eigensolve")
+
+    monkeypatch.setattr(harness, "solve_schrodinger_eig", unsolved)
+    cfg = load_config(write_config(tmp_path, TINY_ADVECTION))
+    cfg.out_dir = str(tmp_path / "out")
+    cfg.nm_ref = 100
+    with pytest.raises(ValueError, match="^nm_ref = 100 modes requested from a mesh of 79 dofs$"):
+        compare_frobenius(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_scsa_driver_writes_sweep_tables(tmp_path):
@@ -821,8 +854,10 @@ def test_scsa_driver_rejects_dynamic_experiment(tmp_path):
     out = tmp_path / "out"
     cfg = ExperimentConfig(problem="scsa", out_dir=str(out))
     cfg.chi_grid = (50.0,)
-    with pytest.raises(ValueError):
-        run_experiment(cfg)
+    for study, command in [(run_experiment, "run"), (compare_frobenius, "frobenius"),
+                           (run_chi_sweep, "sweep")]:
+        with pytest.raises(ValueError, match=f"^{command} needs a dynamic problem; "):
+            study(cfg)
     # a chi_grid does not make a dynamic problem a signal study
     dyn = ExperimentConfig(problem="advection", chi_grid=(50.0,), out_dir=str(out))
     with pytest.raises(ValueError, match="scsa needs an scsa problem, got 'advection'"):

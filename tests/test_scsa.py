@@ -1,5 +1,7 @@
 """Signal expansions through the Schrodinger spectrum."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -180,4 +182,14 @@ def test_read_signal_csv_rejects_bad_files(tmp_path):
         read_signal_csv(p)
     np.savetxt(p, np.array([0.0, 1.0, 2.0]), delimiter=",")
     with pytest.raises(ValueError):
+        read_signal_csv(p)
+
+
+@pytest.mark.parametrize("column, value", [(1, np.nan), (1, np.inf), (0, np.nan), (0, -np.inf)])
+def test_read_signal_csv_rejects_non_finite_samples(tmp_path, column, value):
+    p = tmp_path / "signal.csv"
+    data = np.column_stack([np.linspace(0.0, 1.0, 5), np.ones(5)])
+    data[2, column] = value
+    np.savetxt(p, data, delimiter=",", header="x,u", comments="")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: non-finite sample"):
         read_signal_csv(p)
