@@ -11,7 +11,7 @@ solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -71,17 +71,11 @@ class ReducedBasis:
         """View of the first ``n_modes`` modes (no copy of fem/potential).
 
         Its ``root`` is the untruncated basis, whose operators hold its own
-        as leading blocks.
+        as leading blocks; its own ``operators`` start empty.
         """
         if not 1 <= n_modes <= self.n_modes:
             raise ValueError(f"cannot truncate {self.n_modes} modes to {n_modes}")
-        sub = ReducedBasis(
-            B=self.B[:, :n_modes],
-            lam=self.lam[:n_modes],
-            chi=self.chi,
-            potential=self.potential,
-            fem=self.fem,
-        )
+        sub = replace(self, B=self.B[:, :n_modes], lam=self.lam[:n_modes])
         sub.root = self.root or self
         return sub
 

@@ -117,6 +117,9 @@ _SCHEMA = {
              "methods": _names},
     "sweep": {"chi_grid": _floats},
 }
+# the keys holding a float, or a tuple of floats: each must be finite if set
+_FLOAT_KEYS = tuple(dict.fromkeys(key for section in _SCHEMA.values()
+                                  for key, parse in section.items() if parse in (float, _floats)))
 
 
 def load_config(path, command: str | None = None) -> ExperimentConfig:
@@ -174,8 +177,13 @@ def _check(cfg: ExperimentConfig, command: str | None = None) -> None:
                          "scsa configs run with the scsa subcommand")
     if command == "sweep" and not cfg.chi_grid:
         raise ValueError("sweep needs a chi_grid")
-    for key in ("chi", "chi_grid", "dt", "t_max", "c", "nu", "beta_speed", "x0",
-                "c_scatter", "k_scatter"):  # floats, or tuples of floats, if set
+    if not cfg.fp_tol > 0.0:
+        raise ValueError(f"fp_tol must be positive, got {cfg.fp_tol:g}")
+    if cfg.fp_max_iters < 1:
+        raise ValueError(f"fp_max_iters must be at least 1, got {cfg.fp_max_iters}")
+    if not cfg.tol_deg >= 0.0:  # NaN too, so before the finiteness rule
+        raise ValueError(f"[solver] tol_deg must be at least 0, got {cfg.tol_deg:g}")
+    for key in _FLOAT_KEYS:
         value = getattr(cfg, key)
         if value is not None and not np.all(np.isfinite(value)):
             raise ValueError(f"{key} must be finite, got {value}")
@@ -185,12 +193,6 @@ def _check(cfg: ExperimentConfig, command: str | None = None) -> None:
         raise ValueError(f"bc must be {DIRICHLET} or {NEUMANN}, got {cfg.bc!r}")
     if not cfg.nm_list or min(cfg.nm_list) < 1:
         raise ValueError(f"nm_list entries must be at least 1, got {cfg.nm_list}")
-    if not cfg.fp_tol > 0.0:
-        raise ValueError(f"fp_tol must be positive, got {cfg.fp_tol:g}")
-    if cfg.fp_max_iters < 1:
-        raise ValueError(f"fp_max_iters must be at least 1, got {cfg.fp_max_iters}")
-    if not cfg.tol_deg >= 0.0:  # NaN too
-        raise ValueError(f"[solver] tol_deg must be at least 0, got {cfg.tol_deg:g}")
     chis = (cfg.chi,) + cfg.chi_grid
     if min(chis) <= 0.0:
         raise ValueError(f"chi must be positive, got {min(chis):g}")

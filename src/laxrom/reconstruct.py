@@ -13,6 +13,8 @@ that they are G-orthonormal.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .eigenbasis import ReducedBasis
@@ -84,13 +86,7 @@ def propagate_basis(basis: ReducedBasis, Q: np.ndarray) -> ReducedBasis:
     if not dev <= ORTHONORMALITY_TOL:
         raise InvariantError(f"N_M={n}: transported basis has |B^T G B - I| = {dev:.3e}, "
                              f"above {ORTHONORMALITY_TOL:g}")
-    return ReducedBasis(
-        B=B,
-        lam=basis.lam,
-        chi=basis.chi,
-        potential=basis.potential,
-        fem=basis.fem,
-    )
+    return replace(basis, B=B)  # a new basis: no root, no operators
 
 
 def reconstruct_nodal(basis: ReducedBasis, coeffs: np.ndarray, law: str = "standard",

@@ -38,19 +38,17 @@ __all__ = [
 
 class SymmetricIndex(NamedTuple):
     """Flat index maps between a symmetric (n, n, n) tensor, its packing and
-    its pair matrix.
+    its pair matrix; no map over all n^3 entries is kept.
 
     ``unique`` holds the row-major positions of the entries with
-    i <= j <= k, ``unpack`` the packed position of every full entry and
-    ``pairs`` the packed position of every pair-matrix entry, as an (n, P)
-    array with P = n(n+1)/2.  ``pair`` is the symmetric (n, n) map from
-    (j, k) to the pair-matrix column.  ``bracket`` is (3, U): for each unique
-    (i, j, k), the positions of (i, pair(j, k)), (j, pair(i, k)) and
-    (k, pair(i, j)) in a flattened (n, P) array.
+    i <= j <= k and ``pairs`` the packed position of every pair-matrix
+    entry, as an (n, P) array with P = n(n+1)/2.  ``pair`` is the symmetric
+    (n, n) map from (j, k) to the pair-matrix column.  ``bracket`` is
+    (3, U): for each unique (i, j, k), the positions of (i, pair(j, k)),
+    (j, pair(i, k)) and (k, pair(i, j)) in a flattened (n, P) array.
     """
 
     unique: np.ndarray
-    unpack: np.ndarray
     pairs: np.ndarray
     pair: np.ndarray
     bracket: np.ndarray
@@ -68,15 +66,13 @@ def symmetric_index(n: int) -> SymmetricIndex:
     rank = np.cumsum(kept, dtype=np.intp).reshape(kept.shape) - 1
     i, p = np.nonzero(kept)
     j, k = rows[p], cols[p]
-    # every (a, b, c) unpacks from its sorted indices (lo, mid, hi)
-    a, b, c = np.ogrid[:n, :n, :n]
-    lo = np.minimum(np.minimum(a, b), c)
-    hi = np.maximum(np.maximum(a, b), c)
-    unpack = rank[lo, pair[a + b + c - lo - hi, hi]].ravel()
+    # (a, pair(b, c)) is packed at its sorted (lo, mid, hi); built (P, n) and
+    # transposed, as M.T @ Tp rounds differently if Tp is gathered C-ordered
+    a, b, c = np.arange(n), rows[:, None], cols[:, None]
+    lo, hi = np.minimum(a, b), np.maximum(a, c)
     maps = SymmetricIndex(
         unique=(i * n + j) * n + k,
-        unpack=unpack,
-        pairs=unpack.reshape(n, n * n)[:, rows * n + cols],
+        pairs=rank[lo, pair[a + b + c - lo - hi, hi]].T,
         pair=pair,
         bracket=np.stack([i, j, k]) * rows.size + pair[[j, i, i], [k, k, j]],
     )
@@ -91,8 +87,10 @@ def pack_symmetric(T: np.ndarray) -> np.ndarray:
 
 
 def unpack_symmetric(packed: np.ndarray, n: int) -> np.ndarray:
-    """The full (n, n, n) tensor from its unique entries: one gather."""
-    return packed[symmetric_index(n).unpack].reshape(n, n, n)
+    """The full (n, n, n) tensor from its unique entries: the transposed pair
+    matrix, row pair(j, k) = T_jk., spread over (j, k) is T_jkl = T_ljk."""
+    idx = symmetric_index(n)
+    return packed[idx.pairs.T][idx.pair]
 
 
 def contract(Tp: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -113,23 +111,22 @@ def assemble_T(basis: ReducedBasis) -> np.ndarray:
     the pair matrix Tp[i, pair(j, k)], for the n(n+1)/2 pairs j <= k only:
     one product per j, over the contiguous columns of the pairs (j, k >= j).
     Beyond Tp, only a (block, n) array is live, never one over all points.
-    The entries with i <= j <= k are kept and the rest filled from them, so
-    the result is exactly symmetric and
+    The entries with i <= j <= k are read off Tp and the rest filled from
+    them, so the result is exactly symmetric and
     ``unpack_symmetric(pack_symmetric(T), n)`` reproduces it bit for bit.
     """
     qw, values, _ = basis.fem.quadrature()
     n = basis.n_modes
-    pair = symmetric_index(n).pair
+    idx = symmetric_index(n)
     Tp = np.zeros((n, n * (n + 1) // 2))
     for start in range(0, qw.size, _QUAD_BLOCK):
         block = slice(start, start + _QUAD_BLOCK)
         P = values[block] @ basis.B  # (block points, n_modes)
         Pw = (P * qw[block, None]).T
         for j in range(n):
-            a = pair[j, j]
+            a = idx.pair[j, j]
             Tp[:, a:a + n - j] += Pw @ (P[:, j:] * P[:, j, None])
-    T = Tp[:, pair]
-    return unpack_symmetric(pack_symmetric(T), n)
+    return unpack_symmetric(Tp.ravel()[idx.bracket[0]], n)
 
 
 def assemble_D(basis: ReducedBasis) -> np.ndarray:

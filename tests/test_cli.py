@@ -186,6 +186,13 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
         ("run", ADVECTION_INI.replace("t_max = 0.25", "t_max = inf"),
          f"{path}: t_max must be finite, got inf"),
         ("run", ADVECTION_INI.replace("c = 0.5", "c = nan"), f"{path}: c must be finite, got nan"),
+        ("run", ADVECTION_INI + "[solver]\nfp_tol = inf\n", f"{path}: fp_tol must be finite, got inf"),
+        ("run", ADVECTION_INI + "[solver]\ntol_deg = inf\n",
+         f"{path}: tol_deg must be finite, got inf"),
+        ("run", ADVECTION_INI.replace("n_nodes = 81", "n_nodes = 81\na = -inf"),
+         f"{path}: a must be finite, got -inf"),
+        ("run", ADVECTION_INI.replace("n_nodes = 81", "n_nodes = 81\nb = inf"),
+         f"{path}: b must be finite, got inf"),
         ("run", DIVERGING_FKPP_INI.replace("nu = 400", "nu = nan"),
          f"{path}: nu must be finite, got nan"),
         ("run", soliton.replace("chi = 60", "chi = 1") + "beta_speed = nan\n",

@@ -96,7 +96,9 @@ def test_truncate_views_leading_modes(interval):
     fem = interval
     u0 = np.exp(-250 * (fem.coords - 0.25) ** 2)
     basis = solve_schrodinger_eig(fem, u0, 150.0, 10)
+    basis.operators["T"] = None
     sub = basis.truncate(4)
+    assert sub.operators == {}  # its own, filled on first use
     assert sub.n_modes == 4
     assert np.shares_memory(sub.B, basis.B)
     assert np.array_equal(sub.lam, basis.lam[:4])

@@ -794,6 +794,14 @@ def test_n_per_side_outside_fkpp_is_rejected_in_process(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_finite_mesh_end_is_rejected_in_process(tmp_path):
+    cfg = ExperimentConfig(problem="advection", a=-np.inf, n_nodes=81, chi=60.0,
+                           dt=0.03125, t_max=0.25, nm_list=(4,), out_dir=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match="^a must be finite, got -inf$"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
 def test_chi_sweep_requires_grid(tmp_path):
     cfg = ExperimentConfig(problem="advection", out_dir=str(tmp_path / "out"))
     with pytest.raises(ValueError, match="^sweep needs a chi_grid$"):

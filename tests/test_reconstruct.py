@@ -87,6 +87,11 @@ def test_identity_generator_leaves_basis_fixed(basis):
     out = propagate_basis(basis, Qs[-1])
     assert np.array_equal(out.B, basis.B)
     assert out.lam is basis.lam
+    # a new basis: not a view of the one it came from, no operators yet
+    view = basis.truncate(6)
+    view.operators["T"] = None
+    out = propagate_basis(view, Qs[-1])
+    assert out.root is None and out.operators == {}
 
 
 def test_propagation_preserves_g_orthonormality(basis):

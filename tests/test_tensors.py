@@ -203,30 +203,48 @@ def test_bracket3_matches_index_definition():
     assert np.abs(W - ref).max() < 1e-12 * np.abs(ref).max()
 
 
-def _index_maps_by_sorting(n):
-    """symmetric_index's maps from the (3, n^3) grid of indices and their
-    sort: the direct construction, kept as the oracle."""
+def _unpack_by_sorting(n):
+    """The row-major positions of the entries with i <= j <= k, and the
+    packed position of every (i, j, k) from the sort of its indices."""
     i, j, k = np.indices((n, n, n)).reshape(3, -1)
     unique = np.flatnonzero((i <= j) & (j <= k))
     rank = np.zeros(n**3, dtype=np.intp)
     rank[unique] = np.arange(unique.size)
     lo, mid, hi = np.sort(np.stack([i, j, k]), axis=0)
-    unpack = rank[(lo * n + mid) * n + hi]
+    return unique, rank[(lo * n + mid) * n + hi]
+
+
+def _index_maps_by_sorting(n):
+    """symmetric_index's maps from the (3, n^3) grid of indices and their
+    sort: the direct construction, kept as the oracle."""
+    unique, unpack = _unpack_by_sorting(n)
     rows, cols = np.triu_indices(n)
     pair = np.empty((n, n), dtype=np.intp)
     pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
-    i, j, k = i[unique], j[unique], k[unique]
-    return (unique, unpack, unpack.reshape(n, n * n)[:, rows * n + cols], pair,
+    i, j, k = np.unravel_index(unique, (n, n, n))
+    return (unique, unpack.reshape(n, n * n)[:, rows * n + cols], pair,
             np.stack([i, j, k]) * rows.size + pair[[j, i, i], [k, k, j]])
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 26, 36, 48])
 def test_symmetric_index_matches_the_sorted_construction(n):
     maps = symmetric_index(n)
-    for name, got, want in zip(maps._fields, maps, _index_maps_by_sorting(n)):
+    assert maps._fields == ("unique", "pairs", "pair", "bracket")  # no n^3 map
+    # the stored tables depend on this layout: M.T @ Tp rounds differently
+    # on a C-ordered Tp
+    assert maps.pairs.flags.f_contiguous
+    for name, got, want in zip(maps._fields, maps, _index_maps_by_sorting(n), strict=True):
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
         assert not got.flags.writeable, name
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 26, 36, 48])
+def test_unpack_matches_the_sorted_construction(n):
+    unique, unpack = _unpack_by_sorting(n)
+    full = unpack_symmetric(np.arange(unique.size, dtype=float), n)
+    assert np.array_equal(full, np.arange(unique.size)[unpack].reshape(n, n, n))
+    assert full.flags.c_contiguous
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 7])
