@@ -112,10 +112,15 @@ class StateLayout:
         self._aux = slice(ends[-1], None), (len(self.aux_names), n, n)
         self._pairs = symmetric_index(n).pairs
 
+    def aux_block(self, y: np.ndarray) -> np.ndarray:
+        """View of y's aux matrices as one (len(aux), n, n) block."""
+        aux, shape = self._aux
+        return y[aux].reshape(shape)
+
     def views(self, y: np.ndarray):
         """Views (coeffs, lam, packed T, aux dict) into y."""
-        (c, lam, t), (aux, shape) = self._fields, self._aux
-        return y[c], y[lam], y[t], dict(zip(self.aux_names, y[aux].reshape(shape)))
+        c, lam, t = self._fields
+        return y[c], y[lam], y[t], dict(zip(self.aux_names, self.aux_block(y)))
 
     def split(self, y: np.ndarray):
         """(coeffs, lam, Tp, aux dict) of y, with Tp the (n, n(n+1)/2) pair
@@ -205,12 +210,12 @@ def _rhs(y: np.ndarray, layout: StateLayout, model: EquationModel, cfg: SolverCo
     coeffs, lam, Tp, aux = fields = layout.split(y)
     gamma, theta, M = _generator(fields, model, cfg)
     out = np.empty_like(y)
-    f_coeffs, f_lam, f_t, f_aux = layout.views(out)
+    f_coeffs, f_lam, f_t, _ = layout.views(out)
     f_coeffs[:] = model.coeff_rhs(coeffs, M, gamma)
     np.multiply(theta.diagonal(), -cfg.chi, out=f_lam)
     bracket3(M, Tp, out=f_t)
-    for X, f_X in zip(aux.values(), f_aux.values()):
-        commutator(X, M, out=f_X)
+    if aux:  # [X, M] for every aux matrix X in one call
+        commutator(layout.aux_block(y), M, out=layout.aux_block(out))
     return out
 
 

@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-8
+# lambda < -BOUND_STATE_TOL is a bound state: the KdV soliton count and
+# every soliton expansion (tol_deg masks degenerate pairs only)
+BOUND_STATE_TOL = 1e-8
 
 
 def use_shift_invert(n_dofs: int, n_modes: int) -> bool:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import SolverConfig, run
-from .eigenbasis import initial_projection, solve_schrodinger_eig
+from .eigenbasis import BOUND_STATE_TOL, initial_projection, solve_schrodinger_eig
 from .mesh import (
     DIRICHLET,
     NEUMANN,
@@ -193,6 +193,8 @@ def _check(cfg: ExperimentConfig, command: str | None = None) -> None:
         raise ValueError(f"bc must be {DIRICHLET} or {NEUMANN}, got {cfg.bc!r}")
     if not cfg.nm_list or min(cfg.nm_list) < 1:
         raise ValueError(f"nm_list entries must be at least 1, got {cfg.nm_list}")
+    if len(set(cfg.nm_list)) < len(cfg.nm_list):
+        raise ValueError(f"nm_list entries must be distinct, got {cfg.nm_list}")
     chis = (cfg.chi,) + cfg.chi_grid
     if min(chis) <= 0.0:
         raise ValueError(f"chi must be positive, got {min(chis):g}")
@@ -217,10 +219,13 @@ def _check(cfg: ExperimentConfig, command: str | None = None) -> None:
         elif cfg.beta_speed is None or cfg.beta_speed <= 0.0:
             raise ValueError("KdV needs scattering data or beta_speed > 0, "
                              f"got beta_speed = {cfg.beta_speed}")
+    if command == "sweep":
+        dirs = [_chi_dir(chi) for chi in cfg.chi_grid]
+        if len(set(dirs)) < len(dirs):
+            raise ValueError(f"chi_grid values must name distinct directories, got {dirs}")
+    dofs = _dofs(cfg)  # checks the mesh keys, also where a signal file overrides them
     if cfg.problem == "scsa" and cfg.signal != "double_gaussian":
-        _mesh(cfg)  # the signal file sets the mesh, but _mesh still checks the config
-        return
-    dofs = _dofs(cfg)
+        dofs = _dofs(_on_samples(cfg, read_signal_csv(cfg.signal)[0]))  # run_scsa's mesh
     n_max = cfg.n_modes_cap if cfg.problem == "scsa" else max(cfg.nm_list)
     if n_max > dofs:
         raise ValueError(f"{n_max} modes requested from a mesh of {dofs} dofs")
@@ -294,6 +299,16 @@ def _mesh(cfg: ExperimentConfig):
     return build_uniform_mesh_1d(cfg.a, cfg.b, cfg.n_nodes), bc
 
 
+def _on_samples(cfg: ExperimentConfig, x: np.ndarray) -> ExperimentConfig:
+    """cfg with the 1D mesh of a signal sampled at the uniform points x."""
+    return replace(cfg, a=float(x[0]), b=float(x[-1]), n_nodes=x.size)
+
+
+def _chi_dir(chi: float) -> str:
+    """run_chi_sweep's subdirectory of out_dir for one chi."""
+    return f"chi_{chi:g}"
+
+
 def _build_space(cfg: ExperimentConfig):
     return assemble(*_mesh(cfg))
 
@@ -358,7 +373,7 @@ def _make_model(cfg: ExperimentConfig, basis_full):
     if cfg.problem == "kdv_eigen":
         return KdvEigenModel(cfg.chi)
     if cfg.problem == "kdv_soliton":
-        n_neg = int(np.count_nonzero(basis_full.lam < -cfg.tol_deg))
+        n_neg = int(np.count_nonzero(basis_full.lam < -BOUND_STATE_TOL))
         if n_neg == 0:
             raise ValueError("no bound state: soliton expansion is empty")
         return KdvSolitonModel(n_neg)
@@ -588,15 +603,13 @@ def run_scsa(cfg: ExperimentConfig):
         u = np.exp(-250.0 * (x - 0.25) ** 2) - np.exp(-250.0 * (x - 0.75) ** 2)
     else:
         x_full, u_full = read_signal_csv(cfg.signal)
-        fem = _build_space(replace(cfg, a=float(x_full[0]), b=float(x_full[-1]),
-                                   n_nodes=x_full.size))
+        fem = _build_space(_on_samples(cfg, x_full))
         u = u_full[fem.active]
 
     u_shifted, offset = shift_nonnegative(u)
     log.info("[scsa] signal %r: %d samples, offset %.3e", cfg.signal, u.size, offset)
 
-    results = chi_sweep(u_shifted, cfg.chi_grid, cfg.n_modes_cap, fem,
-                        methods=cfg.methods, tol_deg=cfg.tol_deg)
+    results = chi_sweep(u_shifted, cfg.chi_grid, cfg.n_modes_cap, fem, methods=cfg.methods)
     for method, res in results.items():
         n, chi_b, err_b = res.best[-1]
         log.info("[scsa] %s: best at cap n=%d: chi=%g err=%.3e", method, n, chi_b, err_b)
@@ -621,7 +634,7 @@ def run_chi_sweep(cfg: ExperimentConfig):
     reports = {}
     combined = []
     for chi in cfg.chi_grid:
-        sub = replace(cfg, chi=float(chi), out_dir=os.path.join(cfg.out_dir, f"chi_{chi:g}"))
+        sub = replace(cfg, chi=float(chi), out_dir=os.path.join(cfg.out_dir, _chi_dir(chi)))
         log.info("[sweep] chi = %g", chi)
         rep = run_experiment(sub)
         reports[float(chi)] = rep

@@ -2,9 +2,10 @@
 
 Uniform 1D intervals and structured 2D triangulations of the unit square,
 with the mass and stiffness matrices and the quadrature the rest of the
-package consumes.  Homogeneous Dirichlet conditions are imposed by row/column
-elimination so generalized eigenproblems stay symmetric; under Neumann every
-node is kept.
+package consumes.  Both dimensions assemble through one element scatter
+and sample their quadrature points through one builder.  Homogeneous
+Dirichlet conditions are imposed by row/column elimination so generalized
+eigenproblems stay symmetric; under Neumann every node is kept.
 """
 
 from __future__ import annotations
@@ -248,31 +249,45 @@ def assemble_weighted_mass(fem: FemOperators, u_nodal: np.ndarray) -> sp.csr_mat
     return ((W + W.T) * 0.5).tocsr()
 
 
+def _scatter(elements: np.ndarray, n: int, *blocks: np.ndarray):
+    """(n, n) COO matrices, one per block (m, k, k): entry (a, b) of element
+    e goes to (elements[e, a], elements[e, b]), with ``elements`` (m, k).  The
+    blocks share one pair of row and column arrays, so every matrix sums its
+    duplicates in the same element order."""
+    k = elements.shape[1]
+    rows = np.repeat(elements, k, axis=1).ravel()
+    cols = np.tile(elements, (1, k)).ravel()
+    return tuple(sp.coo_matrix((B.ravel(), (rows, cols)), shape=(n, n)) for B in blocks)
+
+
+def _sampling(vals: np.ndarray, nodes: np.ndarray, n: int, active: np.ndarray):
+    """CSR map from active-node values to point values: point p weights the
+    values at its element's nodes ``nodes[p]`` (q, k) by ``vals[p]``."""
+    q, k = nodes.shape
+    rows = np.repeat(np.arange(q), k)
+    full = sp.coo_matrix((vals.ravel(), (rows, nodes.ravel())), shape=(q, n)).tocsr()
+    return full[:, active].tocsr()
+
+
+def _segments(n: int) -> np.ndarray:
+    """The (n - 1, 2) node pairs (i, i + 1) of a 1D mesh's elements."""
+    return np.column_stack([np.arange(n - 1), np.arange(1, n)])
+
+
 def _assemble_1d(mesh: Mesh1D):
-    x = mesh.nodes
-    h = np.diff(x)
+    h = np.diff(mesh.nodes)
     if np.any(h <= 0):
         bad = int(np.argmax(h <= 0))
         raise AssemblyError(f"element {bad} has nonpositive length {h[bad]!r}")
-    n = mesh.n_nodes
-    i = np.arange(n - 1)
-    rows = np.concatenate([i, i, i + 1, i + 1])
-    cols = np.concatenate([i, i + 1, i, i + 1])
-
-    mass = np.concatenate([h / 3.0, h / 6.0, h / 6.0, h / 3.0])
-    stiff = np.concatenate([1.0 / h, -1.0 / h, -1.0 / h, 1.0 / h])
-
-    shape = (n, n)
-    G = sp.coo_matrix((mass, (rows, cols)), shape=shape)
-    K = sp.coo_matrix((stiff, (rows, cols)), shape=shape)
-    return G, K
+    # element blocks [[d, o], [o, d]]: mass (h/3, h/6), stiffness (1/h, -1/h)
+    Ge, Ke = (np.stack([d, o, o, d], axis=1).reshape(-1, 2, 2)
+              for d, o in ((h / 3.0, h / 6.0), (1.0 / h, -1.0 / h)))
+    return _scatter(_segments(mesh.n_nodes), mesh.n_nodes, Ge, Ke)
 
 
 def _assemble_2d(mesh: TriMesh):
     p = mesh.vertices[mesh.triangles]  # (m, 3, 2)
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    area = 0.5 * _cross2(e1, e2)
+    area = 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     if np.any(area <= 0):
         bad = int(np.argmax(area <= 0))
         raise AssemblyError(f"triangle {bad} has nonpositive area {area[bad]!r}")
@@ -287,57 +302,24 @@ def _assemble_2d(mesh: TriMesh):
     )
     Me = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     Ge = area[:, None, None] * Me[None]
-
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    n = mesh.n_nodes
-    G = sp.coo_matrix((Ge.ravel(), (rows, cols)), shape=(n, n))
-    K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n))
-    return G, K
+    return _scatter(mesh.triangles, mesh.n_nodes, Ge, Ke)
 
 
 def _quadrature_1d(mesh: Mesh1D, active: np.ndarray):
-    x = mesh.nodes
-    h = np.diff(x)
+    # two Gauss points per element: values (1 - xi, xi), x-derivative (-1/h, 1/h)
+    h = np.diff(mesh.nodes)
     n = mesh.n_nodes
-    ne = n - 1
-    xi = _GAUSS2
     qw = np.repeat(h / 2.0, 2)
-
-    # per quadrature point: weights (1 - xi, xi) on the element's two nodes
-    cols = np.empty((2 * ne, 2), dtype=np.int64)
-    cols[0::2] = np.column_stack([np.arange(ne), np.arange(ne) + 1])
-    cols[1::2] = cols[0::2]
-    vals = np.empty((2 * ne, 2))
-    vals[0::2] = [1.0 - xi[0], xi[0]]
-    vals[1::2] = [1.0 - xi[1], xi[1]]
-    dvals = np.empty((2 * ne, 2))
-    dvals[0::2, 0] = -1.0 / h
-    dvals[0::2, 1] = 1.0 / h
-    dvals[1::2] = dvals[0::2]
-
-    rows = np.repeat(np.arange(2 * ne), 2)
-    values = sp.coo_matrix(
-        (vals.ravel(), (rows, cols.ravel())), shape=(2 * ne, n)
-    ).tocsr()
-    deriv = sp.coo_matrix(
-        (dvals.ravel(), (rows, cols.ravel())), shape=(2 * ne, n)
-    ).tocsr()
-    return qw, values[:, active].tocsr(), deriv[:, active].tocsr()
+    nodes = np.repeat(_segments(n), 2, axis=0)
+    vals = np.tile(np.column_stack([1.0 - _GAUSS2, _GAUSS2]), (n - 1, 1))
+    dvals = np.repeat(np.column_stack([-1.0 / h, 1.0 / h]), 2, axis=0)
+    return qw, _sampling(vals, nodes, n, active), _sampling(dvals, nodes, n, active)
 
 
 def _quadrature_2d(mesh: TriMesh, active: np.ndarray):
     p = mesh.vertices[mesh.triangles]
     area = 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    nt = mesh.triangles.shape[0]
-    nq = _TRI_QW.size
-
     qw = (area[:, None] * _TRI_QW[None, :]).ravel()
-    rows = np.repeat(np.arange(nt * nq), 3)
-    cols = np.repeat(mesh.triangles, nq, axis=0).ravel()
-    vals = np.tile(_TRI_QP, (nt, 1)).ravel()
-    values = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(nt * nq, mesh.n_nodes)
-    ).tocsr()
-    return qw, values[:, active].tocsr(), None
+    nodes = np.repeat(mesh.triangles, _TRI_QW.size, axis=0)
+    vals = np.tile(_TRI_QP, (area.size, 1))
+    return qw, _sampling(vals, nodes, mesh.n_nodes, active), None

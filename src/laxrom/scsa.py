@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenbasis import initial_projection, solve_schrodinger_eig
+from .eigenbasis import BOUND_STATE_TOL, initial_projection, solve_schrodinger_eig
 from .mesh import FemOperators
 
 __all__ = [
@@ -58,8 +58,9 @@ def eigen_expansion(u_nodal: np.ndarray, chi: float, n_modes: int, fem: FemOpera
     return approx, _rel_error(fem, u_nodal, approx)
 
 
-def _bound_states(u_nodal: np.ndarray, chi: float, fem: FemOperators, tol_deg: float):
-    """kappa_m = sqrt(-lambda_m) and modes phi_m of every lambda_m < -tol_deg.
+def _bound_states(u_nodal: np.ndarray, chi: float, fem: FemOperators):
+    """kappa_m = sqrt(-lambda_m) and modes phi_m of every bound state,
+    lambda_m < -BOUND_STATE_TOL.
 
     Asks for 8 states and doubles the request, up to the dof count, until
     the highest eigenvalue returned is no longer bound, so only the bound
@@ -69,31 +70,27 @@ def _bound_states(u_nodal: np.ndarray, chi: float, fem: FemOperators, tol_deg: f
     k = min(8, fem.n_active)
     while True:
         basis = solve_schrodinger_eig(fem, u_nodal, chi, k)
-        if basis.lam[-1] >= -tol_deg or k == fem.n_active:
+        if basis.lam[-1] >= -BOUND_STATE_TOL or k == fem.n_active:
             break
         k = min(2 * k, fem.n_active)
-    neg = basis.lam < -tol_deg
+    neg = basis.lam < -BOUND_STATE_TOL
     return np.sqrt(-basis.lam[neg]), basis.B[:, neg]
 
 
-def soliton_expansion(
-    u_nodal: np.ndarray,
-    chi: float,
-    fem: FemOperators,
-    tol_deg: float = 1e-8,
-):
+def soliton_expansion(u_nodal: np.ndarray, chi: float, fem: FemOperators):
     """Reflectionless reconstruction from the bound states.
 
-    u ~ (4/chi) sum_m kappa_m phi_m^2 over the modes with lambda_m < 0,
-    kappa_m = sqrt(-lambda_m).  The signal must be nonnegative (shift it
-    first); with no bound state the approximation is zero.
+    u ~ (4/chi) sum_m kappa_m phi_m^2 over the bound states, lambda_m <
+    -BOUND_STATE_TOL, with kappa_m = sqrt(-lambda_m).  The signal must be
+    nonnegative (shift it first); with no bound state the approximation is
+    zero.
 
     Returns (approximation, relative L2 error, number of bound states).
     """
     u_nodal = np.asarray(u_nodal, dtype=float)
     if u_nodal.min() < -0.0:
         raise ValueError("signal must be nonnegative; apply shift_nonnegative first")
-    kappa, phi = _bound_states(u_nodal, chi, fem, tol_deg)
+    kappa, phi = _bound_states(u_nodal, chi, fem)
     approx = (4.0 / chi) * ((phi**2) @ kappa)
     return approx, _rel_error(fem, u_nodal, approx), kappa.size
 
@@ -117,7 +114,6 @@ def chi_sweep(
     n_modes_cap: int,
     fem: FemOperators,
     methods=METHODS,
-    tol_deg: float = 1e-8,
 ) -> dict:
     """Representation error as a function of chi and the mode budget.
 
@@ -148,7 +144,7 @@ def chi_sweep(
             if method == "eigen":
                 parts = basis.B * initial_projection(basis, u_nodal)[0]
             else:
-                neg = basis.lam < -tol_deg
+                neg = basis.lam < -BOUND_STATE_TOL
                 parts = (4.0 / chi) * basis.B[:, neg] ** 2 * np.sqrt(-basis.lam[neg])
             # column n holds the n-term approximation
             partial = np.cumsum(np.column_stack([np.zeros_like(u_nodal), parts]), axis=1)

@@ -126,6 +126,8 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
     scsa = "[experiment]\nproblem = scsa\n[scsa]\nchi_grid = 50\n"
     kdv3 = (ADVECTION_INI.replace("problem = advection", "problem = kdv_eigen")
             .replace("c = 0.5", "c_scatter = 0.05 0.15 10.0\nk_scatter = 1.0 1.5 1.75"))
+    three = tmp_path / "three.csv"  # a signal file of 3 samples: 3 Neumann dofs
+    three.write_text("x,u\n0,1\n1,2\n2,1\n")
     for command, text, message in [
         ("run", ADVECTION_INI + "\n[plotting]\nstyle = 3\n", "unknown section"),
         ("run", ADVECTION_INI.replace("t_max = 0.25", "t_max = 0.26"), "not a multiple of dt"),
@@ -217,6 +219,12 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
          f"{path}: [mesh] n_nodes: invalid literal for int()"),
         ("run", ADVECTION_INI.replace("nm_list = 4 6", "nm_list = 4, x"),
          f"{path}: [reduction] nm_list: invalid literal for int() with base 10: 'x'"),
+        ("run", ADVECTION_INI.replace("nm_list = 4 6", "nm_list = 6 6 4"),
+         f"{path}: nm_list entries must be distinct, got (6, 6, 4)"),
+        ("sweep", ADVECTION_INI + "[sweep]\nchi_grid = 400 400.0001\n",
+         f"{path}: chi_grid values must name distinct directories, got ['chi_400', 'chi_400']"),
+        ("scsa", scsa + f"signal = {three}\nn_modes_cap = 10\n",
+         f"{path}: 10 modes requested from a mesh of 3 dofs"),
     ]:
         path.write_text(text)
         out = tmp_path / "out"

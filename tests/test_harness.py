@@ -424,6 +424,17 @@ def test_failures_record_a_zero_norm_reference_level(tmp_path, monkeypatch):
         f"N_M=4: {message}\nN_M=6: {message}\n")
 
 
+def test_bound_states_do_not_depend_on_tol_deg():
+    # tol_deg masks degenerate pairs only: the speed-4 soliton's one bound
+    # state, lambda = -1, counts although it lies above -tol_deg
+    cfg = ExperimentConfig(problem="kdv_soliton", a=-5.0, b=15.0, n_nodes=201,
+                           beta_speed=4.0, tol_deg=2.0)
+    basis_full, model = harness._setup(cfg, 4)[2:]
+    assert basis_full.lam[0] == pytest.approx(-1.0, abs=1e-2)
+    assert basis_full.lam[0] > -cfg.tol_deg
+    assert model.n_soliton == 1
+
+
 @pytest.mark.parametrize("problem", ["advection", "kdv_soliton"])
 def test_error_series_matches_per_level_definition(problem, tmp_path, monkeypatch):
     cfg = ExperimentConfig(problem=problem, out_dir=str(tmp_path))

@@ -176,3 +176,53 @@ def test_quadrature_weights_sum_to_measure_2d():
     assert qw @ (values @ u) == pytest.approx(
         np.ones(fem.n_active) @ (fem.mass @ u), rel=1e-13
     )
+
+
+def _loop_1d(nodes, active):
+    """Dense G, K, values and deriv of a 1D mesh, one element at a time."""
+    n = nodes.size
+    G, K = np.zeros((n, n)), np.zeros((n, n))
+    values, deriv = np.zeros((2 * (n - 1), n)), np.zeros((2 * (n - 1), n))
+    for e in range(n - 1):
+        h = nodes[e + 1] - nodes[e]
+        for a in range(2):
+            for b in range(2):
+                G[e + a, e + b] += h / 3.0 if a == b else h / 6.0
+                K[e + a, e + b] += 1.0 / h if a == b else -1.0 / h
+        for g, xi in enumerate((0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))):
+            values[2 * e + g, e:e + 2] = 1.0 - xi, xi
+            deriv[2 * e + g, e:e + 2] = -1.0 / h, 1.0 / h
+    sel = np.ix_(active, active)
+    return G[sel], K[sel], values[:, active], deriv[:, active]
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_1d_assembly_equals_an_element_loop_exactly(bc):
+    # a nonuniform mesh, so each element has its own length
+    nodes = np.cumsum(np.random.default_rng(3).uniform(0.5, 1.5, 23))
+    fem = assemble(Mesh1D(nodes=nodes, h=float(np.mean(np.diff(nodes)))), bc)
+    _, values, deriv = fem.quadrature()
+    got = (fem.mass, fem.stiffness, values, deriv)
+    for name, A, oracle in zip(("mass", "stiffness", "values", "deriv"), got,
+                               _loop_1d(nodes, fem.active), strict=True):
+        assert np.array_equal(A.toarray(), oracle), name
+    if bc == "neumann":
+        assert (values.getnnz(axis=1) == 2).all()
+
+
+def test_2d_assembly_matches_an_element_loop():
+    mesh = build_structured_square_mesh(6)
+    n = mesh.n_nodes
+    G, K = np.zeros((n, n)), np.zeros((n, n))
+    for tri in mesh.triangles:
+        p = mesh.vertices[tri]
+        J = np.column_stack([p[1] - p[0], p[2] - p[0]])
+        area = 0.5 * abs(np.linalg.det(J))
+        # gradients of the barycentric functions, one row per vertex
+        grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]) @ np.linalg.inv(J)
+        G[np.ix_(tri, tri)] += area / 12.0 * (np.ones((3, 3)) + np.eye(3))
+        K[np.ix_(tri, tri)] += area * grads @ grads.T
+    fem = assemble(mesh, "neumann")
+    for A, oracle in ((fem.mass, G), (fem.stiffness, K)):
+        assert np.abs(A.toarray() - oracle).max() <= 1e-15 * np.abs(oracle).max()
+    assert (fem.quadrature()[1].getnnz(axis=1) == 3).all()

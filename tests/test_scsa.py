@@ -125,7 +125,7 @@ def test_chi_sweep_soliton_below_the_bound_state_count():
     u, _ = shift_nonnegative(np.exp(-250.0 * (x - 0.25) ** 2)
                              - np.exp(-250.0 * (x - 0.75) ** 2))
     chi = 500.0
-    kappa, phi = scsa._bound_states(u, chi, fem, 1e-8)
+    kappa, phi = scsa._bound_states(u, chi, fem)
     assert kappa.size == 8
     sweep = chi_sweep(u, [chi], 4, fem)
     partial = np.cumsum((4.0 / chi) * phi[:, :4] ** 2 * kappa[:4], axis=1)
