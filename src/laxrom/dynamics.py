@@ -82,9 +82,10 @@ class SolverConfig:
     def n_steps(self) -> int:
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not np.isfinite(self.t_max):  # round() would overflow
-            raise ValueError(f"t_max must be finite, got {self.t_max}")
-        n = int(round(self.t_max / self.dt))
+        ratio = self.t_max / self.dt
+        if not np.isfinite(ratio):  # round() would overflow
+            raise ValueError(f"t_max / dt must be finite, got {self.t_max} / {self.dt}")
+        n = int(round(ratio))
         if n < 1 or abs(n * self.dt - self.t_max) > 1e-9 * max(self.t_max, 1.0):
             raise ValueError(f"t_max={self.t_max} is not a multiple of dt={self.dt}")
         return n
@@ -366,6 +367,8 @@ def run(
     """
     if cfg.chi != basis.chi:
         raise ValueError(f"config chi={cfg.chi} but basis was built with {basis.chi}")
+    if model.chi not in (None, cfg.chi):
+        raise ValueError(f"config chi={cfg.chi} but model was built with {model.chi}")
     n_steps = cfg.n_steps()
     state = initial_state(basis, coeffs0, model)
     n = basis.n_modes

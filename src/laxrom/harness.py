@@ -125,10 +125,12 @@ _FLOAT_KEYS = tuple(dict.fromkeys(key for section in _SCHEMA.values()
 def load_config(path, command: str | None = None) -> ExperimentConfig:
     """Parse an INI experiment file (sections per _SCHEMA), strictly.
 
-    Ranges, combinations and what the subcommand ``command`` needs are
-    checked here too (``_check``), so a bad file fails before any work or output.
+    Values are literal (no ``%`` interpolation) and ``[DEFAULT]`` is an
+    unknown section.  Ranges, combinations and what the subcommand
+    ``command`` needs are checked here too (``_check``), so a bad file fails
+    before any work or output.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     with open(path) as f:
         raw = f.read()
     try:
@@ -388,18 +390,6 @@ def _setup(cfg: ExperimentConfig, nm_max: int):
     return fem, u0, basis_full, _make_model(cfg, basis_full)
 
 
-def _trajectory(cfg: ExperimentConfig, basis_full, model, u0, nm: int):
-    """(basis, reduced trajectory) of the first nm modes, the end basis checked."""
-    basis = basis_full.truncate(nm)
-    if model.coefficient_law == "soliton":
-        coeffs0 = 4.0 * np.sqrt(-basis.lam[:model.n_soliton]) / cfg.chi
-    else:
-        coeffs0, _ = initial_projection(basis, u0)
-    traj = run(basis, coeffs0, model, cfg)
-    propagate_basis(basis, traj.rotation)
-    return basis, traj
-
-
 # ---------------------------------------------------------------------------
 # output helpers: the only code that creates output directories
 
@@ -451,9 +441,10 @@ _CHUNK = 64
 _BLOCK_VALUES = 2 ** 16
 
 
-# what scoring keeps of a trajectory (dynamics.Trajectory): the modes at
-# level k are basis.B @ frame[k]; coeffs are kept for the soliton law only
-_Track = namedtuple("_Track", "basis frame coeffs")
+# what the drivers keep of a trajectory (dynamics.Trajectory), arrays only:
+# the modes at level k are basis_full.truncate(nm).B @ frame[k], coeffs are
+# kept for the soliton law only, and frob holds ||M|| at each half step
+_Track = namedtuple("_Track", "frame coeffs frob")
 
 
 def _half_steps(cfg) -> np.ndarray:
@@ -462,15 +453,17 @@ def _half_steps(cfg) -> np.ndarray:
 
 
 def _track(cfg, basis_full, model, u0, nm) -> _Track:
-    """Stage 1 for one N_M: the trajectory and mnorm_nmXXX.csv."""
-    basis, traj = _trajectory(cfg, basis_full, model, u0, nm)
-    _save_csv(cfg.out_dir, f"mnorm_nm{nm:03d}.csv", "t_half,m_frob",
-              np.column_stack([_half_steps(cfg), traj.frob]))
+    """Stage 1 for one N_M: its reduced trajectory, the end basis checked; writes nothing."""
+    basis = basis_full.truncate(nm)
     soliton = model.coefficient_law == "soliton"
-    return _Track(basis, traj.frame, traj.coeffs if soliton else None)
+    coeffs0 = (4.0 * np.sqrt(-basis.lam[:model.n_soliton]) / cfg.chi if soliton
+               else initial_projection(basis, u0)[0])
+    traj = run(basis, coeffs0, model, cfg)
+    propagate_basis(basis, traj.rotation)
+    return _Track(traj.frame, traj.coeffs if soliton else None, traj.frob)
 
 
-def _score(cfg, fem, u0, tracks: dict, errors: dict) -> dict:
+def _score(cfg, fem, u0, basis_full, tracks: dict, errors: dict) -> dict:
     """Stage 2: {nm: (eps_L2, amplitude error)} of the tracks at every level.
 
     One pass over the reference: each block and its norm are computed once
@@ -489,7 +482,8 @@ def _score(cfg, fem, u0, tracks: dict, errors: dict) -> dict:
             ref_norm = _reference_norm(fem, ref)
 
             def score(nm):
-                basis, frame, coeffs = tracks[nm]
+                frame, coeffs, _ = tracks[nm]
+                basis = basis_full.truncate(nm)
                 u = (reconstruct_nodal(basis, frame[rows]) if coeffs is None
                      else reconstruct_nodal(basis, coeffs[rows], "soliton", frame[rows]))
                 scores[nm][0][rows] = fem.norm(ref - u) / ref_norm
@@ -533,9 +527,10 @@ def _per_nm(nm_list, work, errors: dict) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """Run one configured experiment over its nm_list and write its tables.
 
-    Three stages: the reduced trajectory of every N_M (``_track``), one
-    pass over the reference that scores them all and writes the snapshots
-    (``_score``), then the error series and the tables (``_tabulate``).
+    Three stages: the reduced trajectory of every N_M (``_track``), whose
+    ``frob`` goes to mnorm_nmXXX.csv, one pass over the reference that
+    scores them all and writes the snapshots (``_score``), then the error
+    series and the tables (``_tabulate``).
     Per N_M failures are recorded in the report and do not stop the other
     mode counts.  Returns the metrics report (rows in nm_list order).
     """
@@ -547,7 +542,9 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
 
     errors = {}
     tracks = _per_nm(cfg.nm_list, lambda nm: _track(cfg, basis_full, model, u0, nm), errors)
-    scores = _score(cfg, fem, u0, tracks, errors)
+    _per_nm(tracks, lambda nm: _save_csv(cfg.out_dir, f"mnorm_nm{nm:03d}.csv", "t_half,m_frob",
+            np.column_stack([_half_steps(cfg), tracks[nm].frob])), errors)
+    scores = _score(cfg, fem, u0, basis_full, tracks, errors)
     rows = list(_per_nm(scores, lambda nm: _tabulate(cfg, nm, *scores[nm]), errors).values())
     if rows:
         _save_csv(cfg.out_dir, "table.csv", _TABLE_HEADER, np.array([astuple(r) for r in rows]))
@@ -566,22 +563,22 @@ def compare_frobenius(cfg: ExperimentConfig):
     """
     _check(cfg, "frobenius")
     _, u0, basis_full, model = _setup(cfg, max(max(cfg.nm_list), cfg.nm_ref))
-    ref_traj = _trajectory(cfg, basis_full, model, u0, cfg.nm_ref)[1]
-    ref = ref_traj.frob
+    ref = _track(cfg, basis_full, model, u0, cfg.nm_ref).frob
     if np.any(ref == 0.0):
         raise ValueError("reference residual norm vanishes; eps_M undefined")
+    errors = {}
+    frobs = _per_nm(cfg.nm_list, lambda nm: ref if nm == cfg.nm_ref
+                    else _track(cfg, basis_full, model, u0, nm).frob, errors)
 
     def compare(nm):
-        traj = ref_traj if nm == cfg.nm_ref else _trajectory(cfg, basis_full, model, u0, nm)[1]
-        series = np.abs(traj.frob - ref) / ref
+        series = np.abs(frobs[nm] - ref) / ref
         mean = float(np.mean(series))
         log.info("[%s] N_M=%3d  mean eps_M=%.3e", cfg.problem, nm, mean)
         _save_csv(cfg.out_dir, f"eps_m_nm{nm:03d}.csv", "t_half,eps_m",
                   np.column_stack([_half_steps(cfg), series]))
         return nm, mean, float(np.max(series))
 
-    errors = {}
-    rows = list(_per_nm(cfg.nm_list, compare, errors).values())
+    rows = list(_per_nm(frobs, compare, errors).values())
     if rows:
         _save_csv(cfg.out_dir, "frobenius.csv", "nm,mean_eps_m,max_eps_m", np.array(rows))
     _write_manifest(cfg, errors)

@@ -29,6 +29,7 @@ class EquationModel:
 
     required_aux: tuple = ()
     coefficient_law = "standard"
+    chi: float | None = None  # the chi of a closure that reads one
 
     def gamma(self, coeffs, lam, Tp, aux) -> np.ndarray:
         raise NotImplementedError

@@ -110,7 +110,7 @@ def _soliton_run(name, out):
     fem, u0, basis_full, model = harness._setup(cfg, nm)
     track = harness._track(cfg, basis_full, model, u0, nm)
     errors = {}
-    scores = harness._score(cfg, fem, u0, {nm: track}, errors)
+    scores = harness._score(cfg, fem, u0, basis_full, {nm: track}, errors)
     assert errors == {}
     row = harness._tabulate(cfg, nm, *scores[nm])
     drift = float(np.abs(track.coeffs - track.coeffs[0]).max())

@@ -132,6 +132,8 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
         ("run", ADVECTION_INI + "\n[plotting]\nstyle = 3\n", "unknown section"),
         ("run", ADVECTION_INI.replace("t_max = 0.25", "t_max = 0.26"), "not a multiple of dt"),
         ("run", ADVECTION_INI + "[solver]\ndamping = 0.5\n", "unknown key 'damping'"),
+        ("run", "[DEFAULT]\nout_dir = results\n" + ADVECTION_INI,  # no keys every section inherits
+         f"{path}: unknown section [DEFAULT]"),
         ("run", soliton, "kdv_soliton needs chi = 1"),
         ("run", soliton.replace("chi = 60", "chi = 1") + "amplitude_law = frozen\n",
          "unknown key 'amplitude_law' in [model]"),
@@ -141,6 +143,8 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
         ("run", ADVECTION_INI.replace("nm_list = 4 6", "nm_list = 0 4"),
          "nm_list entries must be at least 1"),
         ("run", ADVECTION_INI.replace("dt = 0.03125", "dt = 0"), "dt must be positive"),
+        ("run", ADVECTION_INI.replace("dt = 0.03125\nt_max = 0.25", "dt = 1e-300\nt_max = 1e300"),
+         f"{path}: t_max / dt must be finite, got 1e+300 / 1e-300"),
         ("run", ADVECTION_INI.replace("chi = 60", "chi = -60"), "chi must be positive"),
         ("run", ADVECTION_INI.replace("n_nodes = 81", "n_nodes = 2"), "at least 3 nodes"),
         ("run", ADVECTION_INI.replace("nm_list = 4 6", "nm_list = 4 80"),

@@ -204,6 +204,14 @@ def test_run_records_trajectory(small_advection):
         run(basis, beta, model, SolverConfig(chi=61.0, dt=4e-3, t_max=0.04))
 
 
+@pytest.mark.parametrize("model", [KdvEigenModel(6.0), FkppModel(nu=10.0, chi=6.0)])
+def test_run_rejects_a_model_built_for_another_chi(small_advection, model):
+    # the KdV and FKPP closures hold their own chi, which must be the basis's
+    basis, beta, _ = small_advection
+    with pytest.raises(ValueError, match="but model was built with 6.0"):
+        run(basis, beta, model, SolverConfig(chi=60.0, dt=4e-3, t_max=0.04))
+
+
 def test_run_reports_rotation_off_orthonormal(small_advection):
     # a generator with a symmetric part runs through the midpoint step, but
     # its Cayley factors are not rotations: the check at the end of the

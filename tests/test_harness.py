@@ -2,6 +2,7 @@
 
 import configparser
 import os
+import pickle
 import re
 import tracemalloc
 from dataclasses import fields, replace
@@ -191,6 +192,14 @@ def test_config_rejects_unknown_key(tmp_path):
     path = write_config(tmp_path, TINY_ADVECTION + "\n[solver]\nnewton = yes\n")
     with pytest.raises(ValueError, match="unknown key"):
         load_config(path)
+
+
+@pytest.mark.parametrize("out_dir", ["out/run%1", "out/%(problem)s"])
+def test_config_values_are_literal(tmp_path, out_dir):
+    # no % interpolation: "%1" is no syntax error and "%(problem)s" no reference
+    text = TINY_ADVECTION.replace("problem = advection\n",
+                                  f"problem = advection\nout_dir = {out_dir}\n")
+    assert load_config(write_config(tmp_path, text)).out_dir == out_dir
 
 
 def test_config_requires_problem(tmp_path):
@@ -424,6 +433,25 @@ def test_failures_record_a_zero_norm_reference_level(tmp_path, monkeypatch):
         f"N_M=4: {message}\nN_M=6: {message}\n")
 
 
+def test_failures_record_a_failed_mnorm_write(tmp_path, monkeypatch):
+    # the trajectories are written right after the stage: a failed write
+    # drops its N_M from scoring, and the other mode counts go on
+    save = harness._save_csv
+
+    def failing(out_dir, name, *args):
+        if name == "mnorm_nm004.csv":
+            raise OSError("disk full")
+        return save(out_dir, name, *args)
+
+    monkeypatch.setattr(harness, "_save_csv", failing)
+    cfg = replace(load_config(write_config(tmp_path, TINY_ADVECTION)),
+                  out_dir=str(tmp_path / "out"))
+    report = run_experiment(cfg)
+    assert report.errors == {4: "OSError: disk full"}
+    assert [r.nm for r in report.rows] == [6]
+    assert not [p.name for p in (tmp_path / "out").iterdir() if "nm004" in p.name]
+
+
 def test_bound_states_do_not_depend_on_tol_deg():
     # tol_deg masks degenerate pairs only: the speed-4 soliton's one bound
     # state, lambda = -1, counts although it lies above -tol_deg
@@ -462,24 +490,24 @@ def test_error_series_matches_per_level_definition(problem, tmp_path, monkeypatc
     (traj,) = trajectories
     law = model.coefficient_law
     errors = {}
-    scores = harness._score(cfg, fem, u0, {nm: track}, errors)
+    scores = harness._score(cfg, fem, u0, basis_full, {nm: track}, errors)
     assert errors == {}
     eps, amp = scores[nm]
     snap_indices = [0, n_steps // 4, n_steps // 2, n_steps]
     snaps = {i: np.loadtxt(tmp_path / f"snapshot_nm{nm:03d}_t{round(100 * i / n_steps):03d}.csv",
                            delimiter=",", skiprows=1) for i in snap_indices}
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        [f"mnorm_nm{nm:03d}.csv"] + [f"snapshot_nm{nm:03d}_t{tag:03d}.csv"
-                                     for tag in (0, 25, 50, 100)])
+        f"snapshot_nm{nm:03d}_t{tag:03d}.csv" for tag in (0, 25, 50, 100))
     assert any(i % harness._CHUNK for i in snap_indices[1:])  # one inside a chunk
 
     # the definition, one level at a time: the same midpoint steps, each
     # generator's Cayley factor applied and Gram-Schmidt at every step
     eye, h = np.eye(nm), 0.5 * cfg.dt
-    state, Q = dynamics.initial_state(track.basis, traj.coeffs[0], model), eye
+    basis = basis_full.truncate(nm)
+    state, Q = dynamics.initial_state(basis, traj.coeffs[0], model), eye
     for k in range(n_steps + 1):
         ref = harness._exact(cfg, fem.coords, cfg.dt * k)
-        u = reconstruct_nodal(propagate_basis(track.basis, Q), traj.coeffs[k], law)
+        u = reconstruct_nodal(propagate_basis(basis, Q), traj.coeffs[k], law)
         assert eps[k] == pytest.approx(eps_l2(fem, ref, u), rel=1e-12)
         assert amp[k] == pytest.approx(eps_amplitude(ref, u), rel=1e-12)
         if k in snaps:
@@ -490,6 +518,27 @@ def test_error_series_matches_per_level_definition(problem, tmp_path, monkeypatc
             state, M = dynamics.step_midpoint(state, model, cfg)
             np.testing.assert_array_equal(state.coeffs, traj.coeffs[k + 1])
             Q = orthonormalize_g(Q @ np.linalg.solve(eye - h * M, eye + h * M))
+
+
+def test_track_result_is_its_arrays(tmp_path):
+    # a stage result carries the trajectory's arrays alone: no basis, root,
+    # mesh or assembled operators ride along when it is kept or pickled
+    cfg = replace(load_config(CONFIGS / "kdv1_eigen.ini"), t_max=0.2, out_dir=str(tmp_path))
+    fem, u0, basis_full, model = harness._setup(cfg, 26)
+    track = harness._track(cfg, basis_full, model, u0, 26)
+    assert track._fields == ("frame", "coeffs", "frob") and track.coeffs is None
+    arrays = sum(a.nbytes for a in track if a is not None)
+    assert len(pickle.dumps(track)) <= arrays + 2048
+
+
+def test_track_writes_nothing(tmp_path):
+    # the stage returns arrays; run_experiment writes mnorm_nmXXX.csv from them
+    cfg = replace(load_config(write_config(tmp_path, TINY_ADVECTION)),
+                  out_dir=str(tmp_path / "out"))
+    fem, u0, basis_full, model = harness._setup(cfg, 6)
+    track = harness._track(cfg, basis_full, model, u0, 6)
+    assert not (tmp_path / "out").exists()
+    assert track.frob.shape == (cfg.n_steps(),)
 
 
 def test_written_times_are_the_config_grid(tmp_path):
