@@ -15,7 +15,8 @@ import argparse
 import logging
 import sys
 
-from .harness import compare_frobenius, load_config, run_chi_sweep, run_experiment, run_scsa
+from .harness import (_check, compare_frobenius, load_config, run_chi_sweep, run_experiment,
+                      run_scsa)
 
 
 def _add_common(sub):
@@ -46,11 +47,12 @@ def main(argv=None) -> int:
     logging.getLogger("laxrom").setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         cfg = load_config(args.config, args.command)
+        if args.out is not None:  # the override meets the config's rules too
+            cfg.out_dir = args.out
+            _check(cfg, args.command)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out is not None:
-        cfg.out_dir = args.out
 
     try:
         if args.command in ("run", "frobenius"):

@@ -12,6 +12,7 @@ records a timestamp.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import hashlib
 import logging
 import os
@@ -171,6 +172,8 @@ def _check(cfg: ExperimentConfig, command: str | None = None) -> None:
     """
     if cfg.problem not in PROBLEMS:
         raise ValueError(f"unknown problem {cfg.problem!r}")
+    if not cfg.out_dir:
+        raise ValueError("out_dir must not be empty")
     command = command or ("scsa" if cfg.problem == "scsa" else "run")
     if command == "scsa" and cfg.problem != "scsa":
         raise ValueError(f"scsa needs an scsa problem, got {cfg.problem!r}")
@@ -413,7 +416,8 @@ def _save_csv(out_dir: str, name: str, header: str, array) -> None:
 
 
 def _write_manifest(cfg: ExperimentConfig, errors: dict | None = None) -> None:
-    """manifest.txt, and failures.txt when ``errors`` names a failed N_M."""
+    """manifest.txt, and failures.txt when ``errors`` names a failed N_M
+    (removed otherwise)."""
     import scipy
 
     lines = [
@@ -428,6 +432,9 @@ def _write_manifest(cfg: ExperimentConfig, errors: dict | None = None) -> None:
     if errors:
         _write(cfg.out_dir, "failures.txt",
                "".join(f"N_M={nm}: {msg}\n" for nm, msg in sorted(errors.items())))
+    else:  # a clean rerun clears an earlier run's failures
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(cfg.out_dir, "failures.txt"))
 
 
 # ---------------------------------------------------------------------------

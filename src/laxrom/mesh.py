@@ -1,11 +1,13 @@
 """P1 finite element meshes and assembled operators.
 
-Uniform 1D intervals and structured 2D triangulations of the unit square,
-with the mass and stiffness matrices and the quadrature the rest of the
-package consumes.  Both dimensions assemble through one element scatter
-and sample their quadrature points through one builder.  Homogeneous
-Dirichlet conditions are imposed by row/column elimination so generalized
-eigenproblems stay symmetric; under Neumann every node is kept.
+One mesh type, ``Mesh(nodes, elements, boundary)``, holds uniform 1D
+intervals and structured 2D triangulations of the unit square.  The mass
+and stiffness matrices and the quadrature the rest of the package consumes
+are built from it: both dimensions take their element measures from one
+check, assemble through one element scatter and build their quadrature
+from one table of barycentric rules.  Homogeneous Dirichlet conditions are
+imposed by row/column elimination so generalized eigenproblems stay
+symmetric; under Neumann every node is kept.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import scipy.sparse as sp
 
 __all__ = [
     "AssemblyError",
-    "Mesh1D",
-    "TriMesh",
+    "Mesh",
     "FemOperators",
     "build_uniform_mesh_1d",
     "build_structured_square_mesh",
@@ -33,77 +34,64 @@ NEUMANN = "neumann"
 # integrand assembled here (P1 weight times a product of two hat functions).
 _GAUSS2 = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
-# Degree-3 rule on the reference triangle (barycentric points and weights).
-_TRI_QP = np.array(
-    [
-        [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-        [0.6, 0.2, 0.2],
-        [0.2, 0.6, 0.2],
-        [0.2, 0.2, 0.6],
-    ]
-)
-_TRI_QW = np.array([-27.0 / 48.0, 25.0 / 48.0, 25.0 / 48.0, 25.0 / 48.0])
+# Per dimension, a degree-3 rule: barycentric points (q, dim + 1) and
+# weights as fractions of the element measure.
+_RULES = {
+    1: (np.column_stack([1.0 - _GAUSS2, _GAUSS2]), np.array([0.5, 0.5])),
+    2: (np.array([[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
+                  [0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]]),
+        np.array([-27.0 / 48.0, 25.0 / 48.0, 25.0 / 48.0, 25.0 / 48.0])),
+}
 
 
 class AssemblyError(RuntimeError):
     """Raised when a mesh contains a degenerate (zero measure) element."""
 
 
-def _cross2(a, b):
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
 @dataclass(frozen=True)
-class Mesh1D:
-    """Uniform partition of the interval [nodes[0], nodes[-1]]."""
-
-    nodes: np.ndarray
-    h: float
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.size
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
-class TriMesh:
-    """Conforming triangulation of a planar domain.
+class Mesh:
+    """Conforming P1 mesh of an interval or a planar domain.
 
     Attributes
     ----------
-    vertices : (n, 2) array of node coordinates.
-    triangles : (m, 3) int array of vertex indices, counterclockwise.
-    boundary_flags : (n,) int array, 1 for boundary vertices, 0 inside.
+    nodes : (n,) array of node coordinates in 1D, (n, 2) in 2D.
+    elements : (m, dim + 1) int array of node indices: the segments
+        (i, i + 1) in 1D, counterclockwise triangles in 2D.
+    boundary : (n,) int array, 1 on boundary nodes, 0 elsewhere.
     """
 
-    vertices: np.ndarray
-    triangles: np.ndarray
-    boundary_flags: np.ndarray
+    nodes: np.ndarray
+    elements: np.ndarray
+    boundary: np.ndarray
 
     @property
     def n_nodes(self) -> int:
-        return self.vertices.shape[0]
+        return self.nodes.shape[0]
 
     @property
     def dim(self) -> int:
-        return 2
+        return self.nodes.ndim
 
 
-def build_uniform_mesh_1d(a: float, b: float, n_nodes: int) -> Mesh1D:
+def _interval(nodes: np.ndarray) -> Mesh:
+    """The 1D mesh of increasing ``nodes``: segments join neighbours, and
+    the two end nodes are the boundary."""
+    n = nodes.size
+    boundary = np.zeros(n, dtype=np.int64)
+    boundary[[0, -1]] = 1
+    return Mesh(nodes, np.column_stack([np.arange(n - 1), np.arange(1, n)]), boundary)
+
+
+def build_uniform_mesh_1d(a: float, b: float, n_nodes: int) -> Mesh:
     """Uniform mesh with ``n_nodes`` nodes (so n_nodes - 1 elements) on [a, b]."""
     if not b > a:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     if n_nodes < 3:
         raise ValueError("need at least 3 nodes")
-    nodes = np.linspace(a, b, n_nodes)
-    return Mesh1D(nodes=nodes, h=(b - a) / (n_nodes - 1))
+    return _interval(np.linspace(a, b, n_nodes))
 
 
-def build_structured_square_mesh(n_per_side: int) -> TriMesh:
+def build_structured_square_mesh(n_per_side: int) -> Mesh:
     """Structured right-triangle mesh of the unit square.
 
     ``n_per_side`` vertices per edge, each grid cell split along its
@@ -114,7 +102,7 @@ def build_structured_square_mesh(n_per_side: int) -> TriMesh:
     n = n_per_side
     g = np.linspace(0.0, 1.0, n)
     X, Y = np.meshgrid(g, g, indexing="xy")
-    vertices = np.column_stack([X.ravel(), Y.ravel()])
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
 
     idx = np.arange(n * n).reshape(n, n)  # idx[j, i] = j * n + i (row j = y level)
     v00 = idx[:-1, :-1].ravel()
@@ -125,12 +113,12 @@ def build_structured_square_mesh(n_per_side: int) -> TriMesh:
     upper = np.column_stack([v00, v11, v01])
     triangles = np.vstack([lower, upper]).astype(np.int64)
 
-    flags = np.zeros(n * n, dtype=np.int64)
-    flags[idx[0, :]] = 1
-    flags[idx[-1, :]] = 1
-    flags[idx[:, 0]] = 1
-    flags[idx[:, -1]] = 1
-    return TriMesh(vertices=vertices, triangles=triangles, boundary_flags=flags)
+    boundary = np.zeros(n * n, dtype=np.int64)
+    boundary[idx[0, :]] = 1
+    boundary[idx[-1, :]] = 1
+    boundary[idx[:, 0]] = 1
+    boundary[idx[:, -1]] = 1
+    return Mesh(nodes, triangles, boundary)
 
 
 @dataclass
@@ -142,7 +130,7 @@ class FemOperators:
     ``active`` holds the indices of the retained nodes in the full mesh.
     """
 
-    mesh: Mesh1D | TriMesh
+    mesh: Mesh
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
     active: np.ndarray
@@ -155,9 +143,7 @@ class FemOperators:
     @property
     def coords(self) -> np.ndarray:
         """Coordinates of the active nodes ((n,) in 1D, (n, 2) in 2D)."""
-        if self.mesh.dim == 1:
-            return self.mesh.nodes[self.active]
-        return self.mesh.vertices[self.active]
+        return self.mesh.nodes[self.active]
 
     def quadrature(self):
         """Quadrature data (weights, values matrix, x-derivative matrix).
@@ -167,10 +153,7 @@ class FemOperators:
         derivative matrix is only available in 1D.
         """
         if self._quad is None:
-            if self.mesh.dim == 1:
-                self._quad = _quadrature_1d(self.mesh, self.active)
-            else:
-                self._quad = _quadrature_2d(self.mesh, self.active)
+            self._quad = _quadrature(self.mesh, self.active)
         return self._quad
 
     def embed(self, u_active: np.ndarray) -> np.ndarray:
@@ -189,24 +172,22 @@ class FemOperators:
         return np.sqrt(np.abs(np.einsum("ij,ij->i", u, (self.mass @ u.T).T)))
 
 
-def active_nodes(mesh: Mesh1D | TriMesh, bc: str) -> np.ndarray:
+def active_nodes(mesh: Mesh, bc: str) -> np.ndarray:
     """Indices of the nodes ``assemble(mesh, bc)`` keeps: every node under
     Neumann, the interior ones under Dirichlet."""
     if bc not in (DIRICHLET, NEUMANN):
         raise ValueError(f"unknown boundary condition {bc!r}")
     if bc == NEUMANN:
         return np.arange(mesh.n_nodes)
-    if mesh.dim == 1:
-        return np.arange(1, mesh.n_nodes - 1)
-    return np.flatnonzero(mesh.boundary_flags == 0)
+    return np.flatnonzero(mesh.boundary == 0)
 
 
-def assemble(mesh: Mesh1D | TriMesh, bc: str = DIRICHLET) -> FemOperators:
+def assemble(mesh: Mesh, bc: str = DIRICHLET) -> FemOperators:
     """Assemble mass and stiffness for the given mesh.
 
     Parameters
     ----------
-    mesh : Mesh1D or TriMesh
+    mesh : Mesh
     bc : "dirichlet" or "neumann"
         Dirichlet eliminates boundary rows and columns, which keeps every
         returned matrix symmetric.
@@ -269,30 +250,33 @@ def _sampling(vals: np.ndarray, nodes: np.ndarray, n: int, active: np.ndarray):
     return full[:, active].tocsr()
 
 
-def _segments(n: int) -> np.ndarray:
-    """The (n - 1, 2) node pairs (i, i + 1) of a 1D mesh's elements."""
-    return np.column_stack([np.arange(n - 1), np.arange(1, n)])
+def _measure(mesh: Mesh) -> np.ndarray:
+    """Element lengths in 1D, areas in 2D; AssemblyError for a degenerate
+    (nonpositive) one."""
+    p = mesh.nodes[mesh.elements]  # (m, 2) in 1D, (m, 3, 2) in 2D
+    if mesh.dim == 1:
+        measure = p[:, 1] - p[:, 0]
+    else:
+        e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        measure = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    if np.any(measure <= 0):
+        bad = int(np.argmax(measure <= 0))
+        raise AssemblyError(f"element {bad} has nonpositive measure {measure[bad]!r}")
+    return measure
 
 
-def _assemble_1d(mesh: Mesh1D):
-    h = np.diff(mesh.nodes)
-    if np.any(h <= 0):
-        bad = int(np.argmax(h <= 0))
-        raise AssemblyError(f"element {bad} has nonpositive length {h[bad]!r}")
+def _assemble_1d(mesh: Mesh):
+    h = _measure(mesh)
     # element blocks [[d, o], [o, d]]: mass (h/3, h/6), stiffness (1/h, -1/h)
     Ge, Ke = (np.stack([d, o, o, d], axis=1).reshape(-1, 2, 2)
               for d, o in ((h / 3.0, h / 6.0), (1.0 / h, -1.0 / h)))
-    return _scatter(_segments(mesh.n_nodes), mesh.n_nodes, Ge, Ke)
+    return _scatter(mesh.elements, mesh.n_nodes, Ge, Ke)
 
 
-def _assemble_2d(mesh: TriMesh):
-    p = mesh.vertices[mesh.triangles]  # (m, 3, 2)
-    area = 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    if np.any(area <= 0):
-        bad = int(np.argmax(area <= 0))
-        raise AssemblyError(f"triangle {bad} has nonpositive area {area[bad]!r}")
-
+def _assemble_2d(mesh: Mesh):
+    area = _measure(mesh)
     # gradients of the barycentric functions: grad l_a = (b_a, c_a) / (2A)
+    p = mesh.nodes[mesh.elements]  # (m, 3, 2)
     xs, ys = p[..., 0], p[..., 1]
     b = np.stack([ys[:, 1] - ys[:, 2], ys[:, 2] - ys[:, 0], ys[:, 0] - ys[:, 1]], axis=1)
     c = np.stack([xs[:, 2] - xs[:, 1], xs[:, 0] - xs[:, 2], xs[:, 1] - xs[:, 0]], axis=1)
@@ -302,24 +286,20 @@ def _assemble_2d(mesh: TriMesh):
     )
     Me = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     Ge = area[:, None, None] * Me[None]
-    return _scatter(mesh.triangles, mesh.n_nodes, Ge, Ke)
+    return _scatter(mesh.elements, mesh.n_nodes, Ge, Ke)
 
 
-def _quadrature_1d(mesh: Mesh1D, active: np.ndarray):
-    # two Gauss points per element: values (1 - xi, xi), x-derivative (-1/h, 1/h)
-    h = np.diff(mesh.nodes)
+def _quadrature(mesh: Mesh, active: np.ndarray):
+    """(qw, values, deriv) of the dimension's rule in ``_RULES``; the
+    x-derivative matrix ``deriv`` is 1D only and None in 2D."""
+    measure = _measure(mesh)
+    points, weights = _RULES[mesh.dim]
     n = mesh.n_nodes
-    qw = np.repeat(h / 2.0, 2)
-    nodes = np.repeat(_segments(n), 2, axis=0)
-    vals = np.tile(np.column_stack([1.0 - _GAUSS2, _GAUSS2]), (n - 1, 1))
-    dvals = np.repeat(np.column_stack([-1.0 / h, 1.0 / h]), 2, axis=0)
-    return qw, _sampling(vals, nodes, n, active), _sampling(dvals, nodes, n, active)
-
-
-def _quadrature_2d(mesh: TriMesh, active: np.ndarray):
-    p = mesh.vertices[mesh.triangles]
-    area = 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    qw = (area[:, None] * _TRI_QW[None, :]).ravel()
-    nodes = np.repeat(mesh.triangles, _TRI_QW.size, axis=0)
-    vals = np.tile(_TRI_QP, (area.size, 1))
-    return qw, _sampling(vals, nodes, mesh.n_nodes, active), None
+    qw = (measure[:, None] * weights[None, :]).ravel()
+    nodes = np.repeat(mesh.elements, weights.size, axis=0)
+    values = _sampling(np.tile(points, (measure.size, 1)), nodes, n, active)
+    if mesh.dim != 1:
+        return qw, values, None
+    # the hat functions' slopes (-1/h, 1/h) at both Gauss points
+    dvals = np.repeat(np.column_stack([-1.0 / measure, 1.0 / measure]), 2, axis=0)
+    return qw, values, _sampling(dvals, nodes, n, active)

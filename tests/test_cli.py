@@ -229,6 +229,8 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
          f"{path}: chi_grid values must name distinct directories, got ['chi_400', 'chi_400']"),
         ("scsa", scsa + f"signal = {three}\nn_modes_cap = 10\n",
          f"{path}: 10 modes requested from a mesh of 3 dofs"),
+        ("run", ADVECTION_INI.replace("problem = advection", "problem = advection\nout_dir ="),
+         f"{path}: out_dir must not be empty"),
     ]:
         path.write_text(text)
         out = tmp_path / "out"
@@ -272,6 +274,28 @@ def test_failed_stage_exits_nonzero(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(out)]) == 1
     assert "no bound state" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_empty_out_option_exits_with_usage_error(advection_ini, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", advection_ini, "--out", ""]) == 2
+    assert capsys.readouterr().err == "error: out_dir must not be empty\n"
+    assert os.listdir(tmp_path) == ["advection.ini"]  # rejected before any work
+
+
+def test_clean_rerun_removes_stale_failures(tmp_path, capsys):
+    path = tmp_path / "advection.ini"
+    path.write_text(ADVECTION_INI + "[solver]\nfp_max_iters = 1\n")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    failed = (out / "failures.txt").read_text()
+    assert failed.startswith("N_M=4: ") and "\nN_M=6: " in failed
+    capsys.readouterr()
+
+    path.write_text(ADVECTION_INI)
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert np.loadtxt(out / "table.csv", delimiter=",", skiprows=1)[:, 0].tolist() == [4, 6]
+    assert not (out / "failures.txt").exists()
 
 
 def test_scsa_subcommand(tmp_path):

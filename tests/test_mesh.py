@@ -6,18 +6,19 @@ import scipy.sparse as sp
 
 from laxrom import (
     AssemblyError,
+    Mesh,
     assemble,
     assemble_weighted_mass,
     build_structured_square_mesh,
     build_uniform_mesh_1d,
 )
-from laxrom.mesh import Mesh1D, TriMesh
+from laxrom.mesh import _interval
 
 
 def test_uniform_mesh_1d_basic():
     mesh = build_uniform_mesh_1d(0.0, 1.0, 11)
     assert mesh.n_nodes == 11
-    assert mesh.h == pytest.approx(0.1)
+    assert np.diff(mesh.nodes) == pytest.approx(0.1)
     assert mesh.nodes[0] == 0.0 and mesh.nodes[-1] == 1.0
     with pytest.raises(ValueError):
         build_uniform_mesh_1d(1.0, 0.0, 11)
@@ -28,7 +29,7 @@ def test_uniform_mesh_1d_basic():
 def test_mass_matrix_interior_row_1d():
     mesh = build_uniform_mesh_1d(0.0, 1.0, 101)
     fem = assemble(mesh, "neumann")
-    h = mesh.h
+    h = mesh.nodes[1] - mesh.nodes[0]
     G = fem.mass.toarray()
     # interior row: h/6, 2h/3, h/6
     i = 50
@@ -121,7 +122,7 @@ def test_weighted_mass_linear_weight_1d():
     mesh = build_uniform_mesh_1d(0.0, 1.0, 2 + 1)
     fem = assemble(mesh, "neumann")
     W = assemble_weighted_mass(fem, fem.coords).toarray()
-    h = mesh.h
+    h = mesh.nodes[1] - mesh.nodes[0]
     # entry (0,0): int_0^h x (1-x/h)^2 dx = h^2/12
     assert W[0, 0] == pytest.approx(h**2 / 12, rel=1e-13)
     assert W[0, 1] == pytest.approx(h**2 / 12, rel=1e-13)
@@ -138,16 +139,14 @@ def test_weighted_mass_psd_for_nonnegative_weight():
 
 
 def test_degenerate_elements_rejected():
-    nodes = np.array([0.0, 0.5, 0.5, 1.0])
-    bad = Mesh1D(nodes=nodes, h=0.25)
-    with pytest.raises(AssemblyError):
+    # element 1 is degenerate in both: a zero-length segment, a flat triangle
+    bad = _interval(np.array([0.0, 0.5, 0.5, 1.0]))
+    with pytest.raises(AssemblyError, match="element 1 "):
         assemble(bad, "neumann")
 
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    tris = np.array([[0, 1, 2]])
-    flat = TriMesh(vertices=verts, triangles=tris,
-                   boundary_flags=np.ones(3, dtype=np.int64))
-    with pytest.raises(AssemblyError):
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
+    flat = Mesh(nodes, np.array([[0, 1, 2], [0, 1, 3]]), np.ones(4, dtype=np.int64))
+    with pytest.raises(AssemblyError, match="element 1 "):
         assemble(flat, "neumann")
 
 
@@ -200,7 +199,7 @@ def _loop_1d(nodes, active):
 def test_1d_assembly_equals_an_element_loop_exactly(bc):
     # a nonuniform mesh, so each element has its own length
     nodes = np.cumsum(np.random.default_rng(3).uniform(0.5, 1.5, 23))
-    fem = assemble(Mesh1D(nodes=nodes, h=float(np.mean(np.diff(nodes)))), bc)
+    fem = assemble(_interval(nodes), bc)
     _, values, deriv = fem.quadrature()
     got = (fem.mass, fem.stiffness, values, deriv)
     for name, A, oracle in zip(("mass", "stiffness", "values", "deriv"), got,
@@ -214,8 +213,8 @@ def test_2d_assembly_matches_an_element_loop():
     mesh = build_structured_square_mesh(6)
     n = mesh.n_nodes
     G, K = np.zeros((n, n)), np.zeros((n, n))
-    for tri in mesh.triangles:
-        p = mesh.vertices[tri]
+    for tri in mesh.elements:
+        p = mesh.nodes[tri]
         J = np.column_stack([p[1] - p[0], p[2] - p[0]])
         area = 0.5 * abs(np.linalg.det(J))
         # gradients of the barycentric functions, one row per vertex
@@ -226,3 +225,21 @@ def test_2d_assembly_matches_an_element_loop():
     for A, oracle in ((fem.mass, G), (fem.stiffness, K)):
         assert np.abs(A.toarray() - oracle).max() <= 1e-15 * np.abs(oracle).max()
     assert (fem.quadrature()[1].getnnz(axis=1) == 3).all()
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_2d_quadrature_equals_an_element_loop_exactly(bc):
+    mesh = build_structured_square_mesh(6)
+    points = [(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), (0.6, 0.2, 0.2), (0.2, 0.6, 0.2), (0.2, 0.2, 0.6)]
+    weights = [-27.0 / 48.0, 25.0 / 48.0, 25.0 / 48.0, 25.0 / 48.0]
+    qw, values = [], np.zeros((4 * len(mesh.elements), mesh.n_nodes))
+    for e, tri in enumerate(mesh.elements):
+        (x0, y0), (x1, y1), (x2, y2) = mesh.nodes[tri]
+        area = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+        for g, (point, w) in enumerate(zip(points, weights, strict=True)):
+            qw.append(area * w)
+            values[4 * e + g, tri] = point
+    fem = assemble(mesh, bc)
+    got_qw, got_values, _ = fem.quadrature()
+    assert np.array_equal(got_qw, qw)
+    assert np.array_equal(got_values.toarray(), values[:, fem.active])
