@@ -30,11 +30,11 @@ __all__ = [
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 
-# 2-point Gauss rule on [0, 1]; exact for cubics, which covers every
-# integrand assembled here (P1 weight times a product of two hat functions).
+# the 2-point Gauss rule's points on [0, 1]
 _GAUSS2 = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
-# Per dimension, a degree-3 rule: barycentric points (q, dim + 1) and
+# Per dimension, a rule exact for cubics (every integrand assembled here is
+# a P1 weight times two hat functions): barycentric points (q, dim + 1) and
 # weights as fractions of the element measure.
 _RULES = {
     1: (np.column_stack([1.0 - _GAUSS2, _GAUSS2]), np.array([0.5, 0.5])),
