@@ -174,6 +174,8 @@ def _check(cfg: ExperimentConfig, command: str | None = None) -> None:
         raise ValueError(f"unknown problem {cfg.problem!r}")
     if not cfg.out_dir:
         raise ValueError("out_dir must not be empty")
+    if os.path.exists(cfg.out_dir) and not os.path.isdir(cfg.out_dir):
+        raise ValueError(f"out_dir {cfg.out_dir} is not a directory")
     command = command or ("scsa" if cfg.problem == "scsa" else "run")
     if command == "scsa" and cfg.problem != "scsa":
         raise ValueError(f"scsa needs an scsa problem, got {cfg.problem!r}")

@@ -1,10 +1,10 @@
 """P1 finite element meshes and assembled operators.
 
 One mesh type, ``Mesh(nodes, elements, boundary)``, holds uniform 1D
-intervals and structured 2D triangulations of the unit square.  The mass
-and stiffness matrices and the quadrature the rest of the package consumes
-are built from it: both dimensions take their element measures from one
-check, assemble through one element scatter and build their quadrature
+intervals and structured 2D triangulations of the unit square.  ``assemble``
+builds the mass and stiffness matrices and the quadrature the rest of the
+package consumes whole, from one pass over the element measures: both
+dimensions assemble through one element scatter and build their quadrature
 from one table of barycentric rules.  Homogeneous Dirichlet conditions are
 imposed by row/column elimination so generalized eigenproblems stay
 symmetric; under Neumann every node is kept.
@@ -12,7 +12,7 @@ symmetric; under Neumann every node is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -121,20 +121,26 @@ def build_structured_square_mesh(n_per_side: int) -> Mesh:
     return Mesh(nodes, triangles, boundary)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FemOperators:
     """Assembled P1 operators restricted to the active (non-eliminated) nodes.
 
     ``mass`` is the Grammian of the hat-function basis, ``stiffness`` the
     Laplacian form.
     ``active`` holds the indices of the retained nodes in the full mesh.
+    The quadrature, exact for piecewise cubics: ``qw`` are its weights,
+    ``values`` maps an active-node vector to its interpolant sampled at the
+    quadrature points, and ``deriv`` to its x-derivative there (1D only,
+    None in 2D).
     """
 
     mesh: Mesh
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
     active: np.ndarray
-    _quad: tuple | None = field(default=None, repr=False)
+    qw: np.ndarray
+    values: sp.csr_matrix
+    deriv: sp.csr_matrix | None
 
     @property
     def n_active(self) -> int:
@@ -144,17 +150,6 @@ class FemOperators:
     def coords(self) -> np.ndarray:
         """Coordinates of the active nodes ((n,) in 1D, (n, 2) in 2D)."""
         return self.mesh.nodes[self.active]
-
-    def quadrature(self):
-        """Quadrature data (weights, values matrix, x-derivative matrix).
-
-        ``values`` maps an active-node vector to its interpolant sampled at
-        the quadrature points; the rule is exact for piecewise cubics.  The
-        derivative matrix is only available in 1D.
-        """
-        if self._quad is None:
-            self._quad = _quadrature(self.mesh, self.active)
-        return self._quad
 
     def embed(self, u_active: np.ndarray) -> np.ndarray:
         """Extend an active-node vector by zeros to the full node set."""
@@ -183,7 +178,7 @@ def active_nodes(mesh: Mesh, bc: str) -> np.ndarray:
 
 
 def assemble(mesh: Mesh, bc: str = DIRICHLET) -> FemOperators:
-    """Assemble mass and stiffness for the given mesh.
+    """Assemble mass, stiffness and quadrature for the given mesh.
 
     Parameters
     ----------
@@ -197,19 +192,15 @@ def assemble(mesh: Mesh, bc: str = DIRICHLET) -> FemOperators:
     FemOperators
     """
     active = active_nodes(mesh, bc)
-    G, K = _assemble_1d(mesh) if mesh.dim == 1 else _assemble_2d(mesh)
+    measure = _measure(mesh)
+    G, K = (_assemble_1d if mesh.dim == 1 else _assemble_2d)(mesh, measure)
     sel = np.ix_(active, active)
     G = G.tocsr()[sel].tocsr()
     K = K.tocsr()[sel].tocsr()
     # exact symmetry (assembly is symmetric up to summation order)
     G = ((G + G.T) * 0.5).tocsr()
     K = ((K + K.T) * 0.5).tocsr()
-    return FemOperators(
-        mesh=mesh,
-        mass=G,
-        stiffness=K,
-        active=active,
-    )
+    return FemOperators(mesh, G, K, active, *_quadrature(mesh, measure, active))
 
 
 def assemble_weighted_mass(fem: FemOperators, u_nodal: np.ndarray) -> sp.csr_matrix:
@@ -224,9 +215,8 @@ def assemble_weighted_mass(fem: FemOperators, u_nodal: np.ndarray) -> sp.csr_mat
         raise ValueError(
             f"weight has shape {u_nodal.shape}, expected ({fem.n_active},)"
         )
-    qw, values, _ = fem.quadrature()
-    uq = values @ u_nodal
-    W = (values.T.multiply(qw * uq)) @ values
+    values = fem.values
+    W = (values.T.multiply(fem.qw * (values @ u_nodal))) @ values
     return ((W + W.T) * 0.5).tocsr()
 
 
@@ -265,16 +255,14 @@ def _measure(mesh: Mesh) -> np.ndarray:
     return measure
 
 
-def _assemble_1d(mesh: Mesh):
-    h = _measure(mesh)
+def _assemble_1d(mesh: Mesh, h: np.ndarray):
     # element blocks [[d, o], [o, d]]: mass (h/3, h/6), stiffness (1/h, -1/h)
     Ge, Ke = (np.stack([d, o, o, d], axis=1).reshape(-1, 2, 2)
               for d, o in ((h / 3.0, h / 6.0), (1.0 / h, -1.0 / h)))
     return _scatter(mesh.elements, mesh.n_nodes, Ge, Ke)
 
 
-def _assemble_2d(mesh: Mesh):
-    area = _measure(mesh)
+def _assemble_2d(mesh: Mesh, area: np.ndarray):
     # gradients of the barycentric functions: grad l_a = (b_a, c_a) / (2A)
     p = mesh.nodes[mesh.elements]  # (m, 3, 2)
     xs, ys = p[..., 0], p[..., 1]
@@ -289,10 +277,10 @@ def _assemble_2d(mesh: Mesh):
     return _scatter(mesh.elements, mesh.n_nodes, Ge, Ke)
 
 
-def _quadrature(mesh: Mesh, active: np.ndarray):
-    """(qw, values, deriv) of the dimension's rule in ``_RULES``; the
-    x-derivative matrix ``deriv`` is 1D only and None in 2D."""
-    measure = _measure(mesh)
+def _quadrature(mesh: Mesh, measure: np.ndarray, active: np.ndarray):
+    """(qw, values, deriv) of the dimension's rule in ``_RULES`` on elements
+    of the given measures; the x-derivative matrix ``deriv`` is 1D only and
+    None in 2D."""
     points, weights = _RULES[mesh.dim]
     n = mesh.n_nodes
     qw = (measure[:, None] * weights[None, :]).ravel()

@@ -90,7 +90,7 @@ def _square_load(fem: FemOperators):
     (``mesh.assemble_weighted_mass``); the rule is exact for the cubic
     integrand.  V^T is the CSC view of the CSR V, not a copy.
     """
-    qw, values, _ = fem.quadrature()
+    qw, values = fem.qw, fem.values
     values_t = values.T
 
     def load(u):

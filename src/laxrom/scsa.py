@@ -175,8 +175,8 @@ def read_signal_csv(path):
             [float(tok) for tok in first.replace(",", " ").split()]
         except ValueError:
             skip = 1
-    data = np.loadtxt(path, delimiter=",", skiprows=skip)
-    if data.ndim != 2 or data.shape[1] < 2:
+    data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    if data.shape[1] < 2:
         raise ValueError(f"{path}: expected two columns (x, u)")
     if not np.all(np.isfinite(data[:, :2])):
         raise ValueError(f"{path}: non-finite sample (nan or inf)")

@@ -115,7 +115,7 @@ def assemble_T(basis: ReducedBasis) -> np.ndarray:
     them, so the result is exactly symmetric and
     ``unpack_symmetric(pack_symmetric(T), n)`` reproduces it bit for bit.
     """
-    qw, values, _ = basis.fem.quadrature()
+    qw, values = basis.fem.qw, basis.fem.values
     n = basis.n_modes
     idx = symmetric_index(n)
     Tp = np.zeros((n, n * (n + 1) // 2))
@@ -135,7 +135,7 @@ def assemble_D(basis: ReducedBasis) -> np.ndarray:
     Sampled at the element quadrature points, which the P1 integrand (phi_i
     linear, phi_j' constant per element) leaves exact.
     """
-    qw, values, deriv = basis.fem.quadrature()
+    qw, values, deriv = basis.fem.qw, basis.fem.values, basis.fem.deriv
     if deriv is None:
         raise ValueError("first-derivative operator is only assembled on 1D meshes")
     return (values @ basis.B).T @ ((deriv @ basis.B) * qw[:, None])
@@ -152,7 +152,7 @@ def assemble_D3(basis: ReducedBasis) -> np.ndarray:
 
     integrating the potential term by parts onto exact quadrature.
     """
-    qw, values, deriv = basis.fem.quadrature()
+    qw, values, deriv = basis.fem.qw, basis.fem.values, basis.fem.deriv
     if deriv is None:
         raise ValueError("third-derivative operator is only assembled on 1D meshes")
     D = assemble_D(basis)

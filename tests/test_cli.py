@@ -128,6 +128,8 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
             .replace("c = 0.5", "c_scatter = 0.05 0.15 10.0\nk_scatter = 1.0 1.5 1.75"))
     three = tmp_path / "three.csv"  # a signal file of 3 samples: 3 Neumann dofs
     three.write_text("x,u\n0,1\n1,2\n2,1\n")
+    taken = tmp_path / "taken"  # a file where the output directory would go
+    taken.write_text("")
     for command, text, message in [
         ("run", ADVECTION_INI + "\n[plotting]\nstyle = 3\n", "unknown section"),
         ("run", ADVECTION_INI.replace("t_max = 0.25", "t_max = 0.26"), "not a multiple of dt"),
@@ -231,6 +233,8 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
          f"{path}: 10 modes requested from a mesh of 3 dofs"),
         ("run", ADVECTION_INI.replace("problem = advection", "problem = advection\nout_dir ="),
          f"{path}: out_dir must not be empty"),
+        ("run", ADVECTION_INI.replace("problem = advection", f"problem = advection\nout_dir = {taken}"),
+         f"{path}: out_dir {taken} is not a directory"),
     ]:
         path.write_text(text)
         out = tmp_path / "out"
@@ -239,6 +243,7 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
         assert message in err
         assert err.count("\n") == 1  # one line
         assert not out.exists()  # rejected before any work
+    assert taken.read_text() == ""
 
 
 DIVERGING_FKPP_INI = """
@@ -281,6 +286,16 @@ def test_empty_out_option_exits_with_usage_error(advection_ini, tmp_path, monkey
     assert main(["run", advection_ini, "--out", ""]) == 2
     assert capsys.readouterr().err == "error: out_dir must not be empty\n"
     assert os.listdir(tmp_path) == ["advection.ini"]  # rejected before any work
+
+
+def test_out_option_naming_a_file_exits_with_usage_error(advection_ini, tmp_path, monkeypatch,
+                                                         capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    assert main(["run", advection_ini, "--out", "taken"]) == 2
+    assert capsys.readouterr().err == "error: out_dir taken is not a directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["advection.ini", "taken"]  # rejected before any work
+    assert (tmp_path / "taken").read_text() == ""
 
 
 def test_clean_rerun_removes_stale_failures(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Mesh construction and P1 assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,6 +14,7 @@ from laxrom import (
     build_structured_square_mesh,
     build_uniform_mesh_1d,
 )
+from laxrom import mesh as mesh_module
 from laxrom.mesh import _interval
 
 
@@ -150,10 +153,29 @@ def test_degenerate_elements_rejected():
         assemble(flat, "neumann")
 
 
+@pytest.mark.parametrize("mesh", [build_uniform_mesh_1d(0.0, 1.0, 9),
+                                  build_structured_square_mesh(5)])
+def test_assemble_measures_the_elements_once(mesh, monkeypatch):
+    # G, K and the quadrature share one pass over the element measures
+    calls = []
+    measure = mesh_module._measure
+    monkeypatch.setattr(mesh_module, "_measure", lambda m: calls.append(m) or measure(m))
+    fem = assemble(mesh, "dirichlet")
+    assemble_weighted_mass(fem, np.ones(fem.n_active))
+    assert len(calls) == 1
+
+
+def test_assembled_operators_are_frozen():
+    fem = assemble(build_uniform_mesh_1d(0.0, 1.0, 9))
+    for name in ("mass", "qw", "values", "deriv"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fem, name, None)
+
+
 def test_quadrature_integrates_cubics_exactly_1d():
     mesh = build_uniform_mesh_1d(0.0, 1.0, 9)
     fem = assemble(mesh, "neumann")
-    qw, values, deriv = fem.quadrature()
+    qw, values, deriv = fem.qw, fem.values, fem.deriv
     x = fem.coords
     # integral of the interpolant of x ... piecewise linear: quadrature exact
     assert qw @ (values @ x) == pytest.approx(0.5, rel=1e-14)
@@ -164,7 +186,7 @@ def test_quadrature_integrates_cubics_exactly_1d():
 def test_quadrature_weights_sum_to_measure_2d():
     mesh = build_structured_square_mesh(5)
     fem = assemble(mesh, "neumann")
-    qw, values, deriv = fem.quadrature()
+    qw, values, deriv = fem.qw, fem.values, fem.deriv
     assert deriv is None
     assert qw.sum() == pytest.approx(1.0, rel=1e-13)
     # interpolate u = x*y and integrate: quadrature is exact for cubics,
@@ -200,13 +222,12 @@ def test_1d_assembly_equals_an_element_loop_exactly(bc):
     # a nonuniform mesh, so each element has its own length
     nodes = np.cumsum(np.random.default_rng(3).uniform(0.5, 1.5, 23))
     fem = assemble(_interval(nodes), bc)
-    _, values, deriv = fem.quadrature()
-    got = (fem.mass, fem.stiffness, values, deriv)
+    got = (fem.mass, fem.stiffness, fem.values, fem.deriv)
     for name, A, oracle in zip(("mass", "stiffness", "values", "deriv"), got,
                                _loop_1d(nodes, fem.active), strict=True):
         assert np.array_equal(A.toarray(), oracle), name
     if bc == "neumann":
-        assert (values.getnnz(axis=1) == 2).all()
+        assert (fem.values.getnnz(axis=1) == 2).all()
 
 
 def test_2d_assembly_matches_an_element_loop():
@@ -224,7 +245,7 @@ def test_2d_assembly_matches_an_element_loop():
     fem = assemble(mesh, "neumann")
     for A, oracle in ((fem.mass, G), (fem.stiffness, K)):
         assert np.abs(A.toarray() - oracle).max() <= 1e-15 * np.abs(oracle).max()
-    assert (fem.quadrature()[1].getnnz(axis=1) == 3).all()
+    assert (fem.values.getnnz(axis=1) == 3).all()
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
@@ -240,6 +261,5 @@ def test_2d_quadrature_equals_an_element_loop_exactly(bc):
             qw.append(area * w)
             values[4 * e + g, tri] = point
     fem = assemble(mesh, bc)
-    got_qw, got_values, _ = fem.quadrature()
-    assert np.array_equal(got_qw, qw)
-    assert np.array_equal(got_values.toarray(), values[:, fem.active])
+    assert np.array_equal(fem.qw, qw)
+    assert np.array_equal(fem.values.toarray(), values[:, fem.active])

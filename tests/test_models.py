@@ -79,7 +79,7 @@ def test_soliton_gamma_matches_projected_flow(soliton_basis):
     model = KdvSolitonModel(n_soliton=1)
     g = model.gamma(alpha, basis.lam, Tp, {"D": D})
 
-    qw, values, deriv = fem.quadrature()
+    qw, values, deriv = fem.qw, fem.values, fem.deriv
     phi = values @ basis.B[:, 0]
     dphi = deriv @ basis.B[:, 0]
     flow = 8.0 * basis.lam[0] * alpha[0] * phi * dphi

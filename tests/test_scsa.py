@@ -185,6 +185,13 @@ def test_read_signal_csv_rejects_bad_files(tmp_path):
         read_signal_csv(p)
 
 
+def test_read_signal_csv_one_row_reports_too_few_samples(tmp_path):
+    p = tmp_path / "signal.csv"
+    p.write_text("x,u\n0.5,1\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: need at least 3 samples$"):
+        read_signal_csv(p)
+
+
 @pytest.mark.parametrize("column, value", [(1, np.nan), (1, np.inf), (0, np.nan), (0, -np.inf)])
 def test_read_signal_csv_rejects_non_finite_samples(tmp_path, column, value):
     p = tmp_path / "signal.csv"

@@ -72,7 +72,7 @@ def test_interaction_tensor_matches_einsum_over_all_points(which, request):
     # the 1D basis has fewer quadrature points than one block; the 2D one
     # spans two, the second partial
     basis = request.getfixturevalue(which)
-    qw, values, _ = basis.fem.quadrature()
+    qw, values = basis.fem.qw, basis.fem.values
     if which == "basis":
         assert qw.size < tensors._QUAD_BLOCK
     else:
@@ -95,7 +95,7 @@ def test_interaction_tensor_holds_no_array_over_all_points():
     # blocks of quadrature points bound the assembly's memory: its traced
     # peak stays below one (quadrature points x modes) float array
     basis = _square_basis(40, 20)
-    qw = basis.fem.quadrature()[0]
+    qw = basis.fem.qw
     tracemalloc.start()
     try:
         assemble_T(basis)
