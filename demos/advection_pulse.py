@@ -33,7 +33,7 @@ u0 = np.exp(-250.0 * (x - 0.25) ** 2)
 # The weight chi sets how many trapped modes the operator -u'' - chi u
 # offers; larger chi localizes more of them around the pulse.
 basis = solve_schrodinger_eig(fem, u0, CHI, N_MODES)
-beta0, _ = initial_projection(basis, u0)
+beta0 = initial_projection(basis, u0)
 
 cfg = SolverConfig(chi=CHI, dt=1.0 / 256, t_max=1.0)
 traj = run(basis, beta0, AdvectionModel(C), cfg)

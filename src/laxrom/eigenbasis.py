@@ -24,12 +24,11 @@ __all__ = [
     "ReducedBasis",
     "solve_schrodinger_eig",
     "initial_projection",
+    "soliton_amplitudes",
 ]
 
 RESIDUAL_TOL = 1e-8
-# lambda < -BOUND_STATE_TOL is a bound state: the KdV soliton count and
-# every soliton expansion (tol_deg masks degenerate pairs only)
-BOUND_STATE_TOL = 1e-8
+BOUND_STATE_TOL = 1e-8  # lambda < -BOUND_STATE_TOL is bound; tol_deg masks pairs only
 
 
 def use_shift_invert(n_dofs: int, n_modes: int) -> bool:
@@ -136,15 +135,14 @@ def solve_schrodinger_eig(
     return ReducedBasis(B=B, lam=lam, chi=float(chi), potential=u0_nodal, fem=fem)
 
 
-def initial_projection(basis: ReducedBasis, u0_nodal: np.ndarray):
-    """G-orthogonal projection of u0 onto the basis.
+def initial_projection(basis: ReducedBasis, u0_nodal: np.ndarray) -> np.ndarray:
+    """Coefficients <u0, phi_i> of the G-orthogonal projection of u0 onto the basis."""
+    return basis.B.T @ (basis.fem.mass @ np.asarray(u0_nodal, dtype=float))
 
-    Returns
-    -------
-    beta : (n_modes,) coefficients <u0, phi_i>.
-    err : absolute L2 error ||u0 - B beta||.
-    """
-    u0_nodal = np.asarray(u0_nodal, dtype=float)
-    beta = basis.B.T @ (basis.fem.mass @ u0_nodal)
-    err = basis.fem.norm(u0_nodal - basis.B @ beta)
-    return beta, err
+
+def soliton_amplitudes(basis: ReducedBasis) -> np.ndarray:
+    """4 sqrt(-lambda_m) / chi over the leading bound states lambda_m <
+    -BOUND_STATE_TOL: the one bound-state rule, giving the KdV soliton
+    amplitudes and the weights of the squared-mode expansion (``scsa``)."""
+    lam = basis.lam[basis.lam < -BOUND_STATE_TOL]
+    return 4.0 * np.sqrt(-lam) / basis.chi

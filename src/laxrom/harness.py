@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import SolverConfig, run
-from .eigenbasis import BOUND_STATE_TOL, initial_projection, solve_schrodinger_eig
+from .eigenbasis import initial_projection, soliton_amplitudes, solve_schrodinger_eig
 from .mesh import (
     DIRICHLET,
     NEUMANN,
@@ -35,7 +35,7 @@ from .mesh import (
 from .models import AdvectionModel, FkppModel, KdvEigenModel, KdvSolitonModel
 from .reconstruct import propagate_basis, reconstruct_nodal
 from .reference import fkpp_reference, kdv_n_soliton, kdv_one_soliton
-from .scsa import METHODS, chi_sweep, read_signal_csv, shift_nonnegative
+from .scsa import METHODS, chi_sweep, read_signal_csv, shift_nonnegative, soliton_expansion
 
 __all__ = [
     "ExperimentConfig",
@@ -200,8 +200,10 @@ def _check(cfg: ExperimentConfig, command: str | None = None) -> None:
         raise ValueError(f"bc must be {DIRICHLET} or {NEUMANN}, got {cfg.bc!r}")
     if not cfg.nm_list or min(cfg.nm_list) < 1:
         raise ValueError(f"nm_list entries must be at least 1, got {cfg.nm_list}")
-    if len(set(cfg.nm_list)) < len(cfg.nm_list):
-        raise ValueError(f"nm_list entries must be distinct, got {cfg.nm_list}")
+    for key in ("nm_list", "chi_grid"):
+        entries = getattr(cfg, key)
+        if len(set(entries)) < len(entries):
+            raise ValueError(f"{key} entries must be distinct, got {entries}")
     chis = (cfg.chi,) + cfg.chi_grid
     if min(chis) <= 0.0:
         raise ValueError(f"chi must be positive, got {min(chis):g}")
@@ -380,10 +382,12 @@ def _make_model(cfg: ExperimentConfig, basis_full):
     if cfg.problem == "kdv_eigen":
         return KdvEigenModel(cfg.chi)
     if cfg.problem == "kdv_soliton":
-        n_neg = int(np.count_nonzero(basis_full.lam < -BOUND_STATE_TOL))
-        if n_neg == 0:
+        n_bound = soliton_amplitudes(basis_full).size
+        if n_bound == basis_full.n_modes:  # every mode is bound: count past them
+            n_bound = soliton_expansion(basis_full.potential, basis_full.chi, basis_full.fem)[2]
+        if n_bound == 0:
             raise ValueError("no bound state: soliton expansion is empty")
-        return KdvSolitonModel(n_neg)
+        return KdvSolitonModel(n_bound)
     return FkppModel(cfg.nu, cfg.chi)
 
 
@@ -465,8 +469,9 @@ def _track(cfg, basis_full, model, u0, nm) -> _Track:
     """Stage 1 for one N_M: its reduced trajectory, the end basis checked; writes nothing."""
     basis = basis_full.truncate(nm)
     soliton = model.coefficient_law == "soliton"
-    coeffs0 = (4.0 * np.sqrt(-basis.lam[:model.n_soliton]) / cfg.chi if soliton
-               else initial_projection(basis, u0)[0])
+    coeffs0 = soliton_amplitudes(basis) if soliton else initial_projection(basis, u0)
+    if soliton and coeffs0.size < model.n_soliton:
+        raise ValueError(f"N_M={nm} is below the model's {model.n_soliton} bound states")
     traj = run(basis, coeffs0, model, cfg)
     propagate_basis(basis, traj.rotation)
     return _Track(traj.frame, traj.coeffs if soliton else None, traj.frob)

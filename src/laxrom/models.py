@@ -100,13 +100,13 @@ class FkppModel(EquationModel):
 class KdvSolitonModel(EquationModel):
     """KdV expanded on squared bound-state modes u = sum alpha_i phi_i^2.
 
-    ``n_soliton`` is the number of negative eigenvalues of the initial
-    operator; only that leading block carries coefficients, while the full
-    mode set still transports lambda, T and D.
+    ``n_soliton`` is the number of bound states of the initial operator;
+    only that leading block carries coefficients, while the full mode set
+    still transports lambda, T and D.
 
-    The amplitudes alpha_i = 4 kappa_i are the bound-state scattering data.
-    The flow is isospectral, so they stay at their initial values; for
-    reflectionless data this is exact.
+    The amplitudes alpha_i = 4 kappa_i (``eigenbasis.soliton_amplitudes``)
+    are the bound-state scattering data. The flow is isospectral, so they
+    stay at their initial values; for reflectionless data this is exact.
     """
 
     required_aux = ("D",)

@@ -2,9 +2,10 @@
 
 A nonnegative signal u can be encoded through the spectrum of
 -d2/dx2 - chi u: either as a plain projection on the first eigenmodes, or
-through the squared bound-state modes weighted by sqrt(-lambda) (the
-reflectionless-potential reconstruction), two readings of one spectrum.
-The chi sweep scores both from one eigensolve per chi to pick the sharpest
+through the squared bound-state modes weighted by 4 sqrt(-lambda) / chi
+(``soliton_amplitudes``, the reflectionless-potential reconstruction), two
+readings of one spectrum, both formed by ``_expansion``.  The chi sweep
+scores both from one eigensolve per chi to pick the sharpest
 representation at a given mode budget.  Also a small CSV signal reader.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenbasis import BOUND_STATE_TOL, initial_projection, solve_schrodinger_eig
+from .eigenbasis import initial_projection, soliton_amplitudes, solve_schrodinger_eig
 from .mesh import FemOperators
 
 __all__ = [
@@ -39,11 +40,30 @@ def shift_nonnegative(u_nodal: np.ndarray):
     return u_nodal - offset, offset
 
 
-def _rel_error(fem, u, approx):
-    denom = fem.norm(u)
-    if denom == 0.0:
+def _signal(u_nodal: np.ndarray, fem: FemOperators):
+    """(u as floats, ||u||), checked before any eigensolve: a zero signal
+    has no relative error."""
+    u = np.asarray(u_nodal, dtype=float)
+    unorm = fem.norm(u)
+    if unorm == 0.0:
         raise ValueError("zero signal")
-    return fem.norm(u - approx) / denom
+    return u, unorm
+
+
+def _expansion(u: np.ndarray, unorm: float, basis, method: str):
+    """Partial sums of one expansion of u on the basis, column n the n-term
+    sum from n = 0, and their relative L2 errors: "eigen" projects on the
+    first n modes, "soliton" sums the n deepest squared bound states up to
+    their count.  Each error is measured on its partial sum, since the
+    Parseval remainder ||u||^2 - sum beta_j^2 cancels to zero below ~1e-8.
+    """
+    if method == "eigen":
+        parts = basis.B * initial_projection(basis, u)
+    else:
+        amplitudes = soliton_amplitudes(basis)
+        parts = basis.B[:, :amplitudes.size] ** 2 * amplitudes
+    partial = np.cumsum(np.column_stack([np.zeros_like(u), parts]), axis=1)
+    return partial, [basis.fem.norm(u - approx) / unorm for approx in partial.T]
 
 
 def eigen_expansion(u_nodal: np.ndarray, chi: float, n_modes: int, fem: FemOperators):
@@ -51,48 +71,32 @@ def eigen_expansion(u_nodal: np.ndarray, chi: float, n_modes: int, fem: FemOpera
 
     Returns (approximation, relative L2 error).
     """
-    u_nodal = np.asarray(u_nodal, dtype=float)
-    basis = solve_schrodinger_eig(fem, u_nodal, chi, n_modes)
-    beta, _ = initial_projection(basis, u_nodal)
-    approx = basis.B @ beta
-    return approx, _rel_error(fem, u_nodal, approx)
-
-
-def _bound_states(u_nodal: np.ndarray, chi: float, fem: FemOperators):
-    """kappa_m = sqrt(-lambda_m) and modes phi_m of every bound state,
-    lambda_m < -BOUND_STATE_TOL.
-
-    Asks for 8 states and doubles the request, up to the dof count, until
-    the highest eigenvalue returned is no longer bound, so only the bound
-    states and a few more are solved for (``chi_sweep`` has a mode cap and
-    needs no search).
-    """
-    k = min(8, fem.n_active)
-    while True:
-        basis = solve_schrodinger_eig(fem, u_nodal, chi, k)
-        if basis.lam[-1] >= -BOUND_STATE_TOL or k == fem.n_active:
-            break
-        k = min(2 * k, fem.n_active)
-    neg = basis.lam < -BOUND_STATE_TOL
-    return np.sqrt(-basis.lam[neg]), basis.B[:, neg]
+    u, unorm = _signal(u_nodal, fem)
+    partial, errors = _expansion(u, unorm, solve_schrodinger_eig(fem, u, chi, n_modes), "eigen")
+    return partial[:, -1], errors[-1]
 
 
 def soliton_expansion(u_nodal: np.ndarray, chi: float, fem: FemOperators):
-    """Reflectionless reconstruction from the bound states.
+    """Reflectionless reconstruction from every bound state.
 
-    u ~ (4/chi) sum_m kappa_m phi_m^2 over the bound states, lambda_m <
-    -BOUND_STATE_TOL, with kappa_m = sqrt(-lambda_m).  The signal must be
-    nonnegative (shift it first); with no bound state the approximation is
-    zero.
+    u ~ sum_m (4 kappa_m / chi) phi_m^2, kappa_m = sqrt(-lambda_m)
+    (``soliton_amplitudes``).  The signal must be nonnegative (shift it
+    first); with no bound state the approximation is zero.  Asks for 8
+    states and doubles the request, up to the dof count, while all come
+    back bound (``chi_sweep`` has a mode cap and needs no search).
 
     Returns (approximation, relative L2 error, number of bound states).
     """
-    u_nodal = np.asarray(u_nodal, dtype=float)
-    if u_nodal.min() < -0.0:
+    u, unorm = _signal(u_nodal, fem)
+    if u.min() < -0.0:
         raise ValueError("signal must be nonnegative; apply shift_nonnegative first")
-    kappa, phi = _bound_states(u_nodal, chi, fem)
-    approx = (4.0 / chi) * ((phi**2) @ kappa)
-    return approx, _rel_error(fem, u_nodal, approx), kappa.size
+    k = min(8, fem.n_active)
+    basis = solve_schrodinger_eig(fem, u, chi, k)
+    while soliton_amplitudes(basis).size == k < fem.n_active:
+        k = min(2 * k, fem.n_active)
+        basis = solve_schrodinger_eig(fem, u, chi, k)
+    partial, errors = _expansion(u, unorm, basis, "soliton")
+    return partial[:, -1], errors[-1], partial.shape[1] - 1
 
 
 @dataclass
@@ -118,39 +122,25 @@ def chi_sweep(
     """Representation error as a function of chi and the mode budget.
 
     One eigensolve per chi, of the ``n_modes_cap`` lowest modes, serves
-    every method: the deepest bound states are the lowest modes.
-    "eigen": error of the n-mode projection for n = 1..cap; each residual
-    ||u - partial_n|| is measured directly on the cumulative partial sums,
-    since the Parseval remainder ||u||^2 - sum beta_j^2 cancels to zero
-    once the error falls below ~1e-8.
+    every method (``_expansion``): the deepest bound states are the lowest
+    modes.  "eigen": error of the n-mode projection for n = 1..cap.
     "soliton": error of the bound-state sum truncated to the n deepest
     states (for n beyond the bound-state count, the full sum).
     Returns {method: SweepResult} in the order of ``methods``.
     """
     if not set(methods) <= set(METHODS):
         raise ValueError(f"methods must be among {METHODS}, got {methods}")
-    u_nodal = np.asarray(u_nodal, dtype=float)
     cap = int(n_modes_cap)
     if not 1 <= cap <= fem.n_active:
         raise ValueError(f"mode cap {cap} out of range")
-    unorm = fem.norm(u_nodal)
-    if unorm == 0.0:
-        raise ValueError("zero signal")
+    u, unorm = _signal(u_nodal, fem)
 
     rows = {method: [] for method in methods}
     for chi in (float(c) for c in chi_grid):
-        basis = solve_schrodinger_eig(fem, u_nodal, chi, cap)
+        basis = solve_schrodinger_eig(fem, u, chi, cap)
         for method, sweep in rows.items():
-            if method == "eigen":
-                parts = basis.B * initial_projection(basis, u_nodal)[0]
-            else:
-                neg = basis.lam < -BOUND_STATE_TOL
-                parts = (4.0 / chi) * basis.B[:, neg] ** 2 * np.sqrt(-basis.lam[neg])
-            # column n holds the n-term approximation
-            partial = np.cumsum(np.column_stack([np.zeros_like(u_nodal), parts]), axis=1)
-            for n in range(1, cap + 1):
-                approx = partial[:, min(n, partial.shape[1] - 1)]
-                sweep.append((chi, n, fem.norm(u_nodal - approx) / unorm))
+            errors = _expansion(u, unorm, basis, method)[1]
+            sweep.extend((chi, n, errors[min(n, len(errors) - 1)]) for n in range(1, cap + 1))
 
     results = {}
     for method, sweep in rows.items():

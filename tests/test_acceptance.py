@@ -181,7 +181,7 @@ def test_criterion_03_exact_transport_generator_freezes_coefficients(acceptance_
     fem = assemble(build_uniform_mesh_1d(cfg.a, cfg.b, cfg.n_nodes))
     u0 = np.exp(-250.0 * (fem.coords - 0.25) ** 2)
     basis = solve_schrodinger_eig(fem, u0, cfg.chi, 20)
-    beta0, _ = initial_projection(basis, u0)
+    beta0 = initial_projection(basis, u0)
     traj = run(basis, beta0, AdvectionModel(cfg.c, exact_m=True), cfg)
     drift = float(np.linalg.norm(traj.coeffs - beta0[None, :], axis=1).max())
     ok = drift <= 1e-9
@@ -342,7 +342,7 @@ def test_criterion_09_property_suite(acceptance_log):
     checks["T symmetry <= 1e-9"] = perm_dev <= 1e-9
 
     # per-step conservation of ||T||_F along the isospectral flow
-    beta0, _ = initial_projection(basis, u0)
+    beta0 = initial_projection(basis, u0)
     model = AdvectionModel(0.5)
     cfg = SolverConfig(chi=chi, dt=1.0 / 64, t_max=0.5)
     state = initial_state(basis, beta0, model)

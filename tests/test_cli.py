@@ -227,6 +227,8 @@ def test_malformed_config_exits_with_usage_error(tmp_path, capsys):
          f"{path}: [reduction] nm_list: invalid literal for int() with base 10: 'x'"),
         ("run", ADVECTION_INI.replace("nm_list = 4 6", "nm_list = 6 6 4"),
          f"{path}: nm_list entries must be distinct, got (6, 6, 4)"),
+        ("scsa", scsa.replace("chi_grid = 50", "chi_grid = 50 50"),
+         f"{path}: chi_grid entries must be distinct, got (50.0, 50.0)"),
         ("sweep", ADVECTION_INI + "[sweep]\nchi_grid = 400 400.0001\n",
          f"{path}: chi_grid values must name distinct directories, got ['chi_400', 'chi_400']"),
         ("scsa", scsa + f"signal = {three}\nn_modes_cap = 10\n",

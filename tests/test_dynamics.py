@@ -109,7 +109,7 @@ def small_advection():
     x = fem.coords
     u0 = np.exp(-250.0 * (x - 0.25) ** 2)
     basis = solve_schrodinger_eig(fem, u0, 60.0, 5)
-    beta, _ = initial_projection(basis, u0)
+    beta = initial_projection(basis, u0)
     return basis, beta, AdvectionModel(0.5)
 
 
@@ -235,7 +235,7 @@ def advection_36():
     fem = assemble(build_uniform_mesh_1d(0.0, 1.0, 121), "dirichlet")
     u0 = np.exp(-250.0 * (fem.coords - 0.25) ** 2)
     basis = solve_schrodinger_eig(fem, u0, 60.0, 36)
-    beta, _ = initial_projection(basis, u0)
+    beta = initial_projection(basis, u0)
     return basis, beta, SolverConfig(chi=60.0, dt=1.0 / 256, t_max=0.5)
 
 

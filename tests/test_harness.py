@@ -463,6 +463,21 @@ def test_bound_states_do_not_depend_on_tol_deg():
     assert model.n_soliton == 1
 
 
+@pytest.mark.parametrize("nm_list", [(2, 4), (2,)])
+def test_kdv_soliton_nm_below_the_bound_state_count_fails_that_nm(tmp_path, nm_list):
+    # three bound states: two modes cannot hold the three amplitudes, so
+    # N_M = 2 fails in failures.txt and N_M = 4 still runs.  With N_M = 2
+    # alone both solved modes are bound, and the count goes on past them
+    cfg = replace(load_config(CONFIGS / "kdv3_soliton.ini"), nm_list=nm_list, t_max=0.002,
+                  out_dir=str(tmp_path))
+    report = run_experiment(cfg)
+    message = "ValueError: N_M=2 is below the model's 3 bound states"
+    assert report.errors == {2: message}
+    assert [r.nm for r in report.rows] == list(nm_list[1:])
+    assert (tmp_path / "failures.txt").read_text() == f"N_M=2: {message}\n"
+    assert not list(tmp_path.glob("*nm002*"))
+
+
 @pytest.mark.parametrize("problem", ["advection", "kdv_soliton"])
 def test_error_series_matches_per_level_definition(problem, tmp_path, monkeypatch):
     cfg = ExperimentConfig(problem=problem, out_dir=str(tmp_path))

@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 from laxrom import (
+    ExperimentConfig,
     assemble,
     build_uniform_mesh_1d,
     chi_sweep,
     eigen_expansion,
+    eigenbasis,
+    harness,
     read_signal_csv,
     scsa,
     shift_nonnegative,
+    soliton_amplitudes,
     soliton_expansion,
+    solve_schrodinger_eig,
 )
 
 
@@ -26,6 +31,17 @@ def interval():
 def double_gaussian(interval):
     x = interval.coords
     return np.exp(-300.0 * (x - 0.35) ** 2) + 0.6 * np.exp(-400.0 * (x - 0.7) ** 2)
+
+
+@pytest.fixture(scope="module")
+def preset_signal():
+    """The scsa preset's mesh and shifted signal: 4 bound states at chi =
+    150, 8 at chi = 500."""
+    fem = assemble(build_uniform_mesh_1d(0.0, 1.0, 500), "neumann")
+    x = fem.coords
+    u, _ = shift_nonnegative(np.exp(-250.0 * (x - 0.25) ** 2)
+                             - np.exp(-250.0 * (x - 0.75) ** 2))
+    return fem, u
 
 
 def test_shift_nonnegative_roundtrip():
@@ -87,13 +103,10 @@ def test_chi_sweep_soliton_monotone_in_budget(interval, double_gaussian):
     assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
 
-def test_bound_state_growth_matches_full_spectrum(monkeypatch):
-    # the scsa preset's signal; at chi = 500 it has 8 bound states, so the
-    # first request of 8 comes back all bound and is doubled once
-    fem = assemble(build_uniform_mesh_1d(0.0, 1.0, 500), "neumann")
-    x = fem.coords
-    u, _ = shift_nonnegative(np.exp(-250.0 * (x - 0.25) ** 2)
-                             - np.exp(-250.0 * (x - 0.75) ** 2))
+def test_bound_state_growth_matches_full_spectrum(monkeypatch, preset_signal):
+    # at chi = 500 the first request of 8 comes back all bound and is
+    # doubled once
+    fem, u = preset_signal
     requested = []
     solve = scsa.solve_schrodinger_eig
 
@@ -115,20 +128,18 @@ def test_bound_state_growth_matches_full_spectrum(monkeypatch):
         assert sweep.rows[-1][2] == pytest.approx(err, rel=1e-12)
 
 
-def test_chi_sweep_soliton_below_the_bound_state_count():
-    # at chi = 500 the preset's signal has 8 bound states; a cap of 4 keeps
-    # the 4 deepest, read off the sweep's one 4-mode solve.  The reference
-    # is the uncapped bound-state search (the dense full spectrum agrees
+def test_chi_sweep_soliton_below_the_bound_state_count(preset_signal):
+    # at chi = 500 a cap of 4 keeps the 4 deepest of the 8 bound states,
+    # read off the sweep's one 4-mode solve.  The reference is the 16-mode
+    # solve of soliton_expansion's search (the dense full spectrum agrees
     # with both to about 1.5e-12 only, limited by its own eigenvalues)
-    fem = assemble(build_uniform_mesh_1d(0.0, 1.0, 500), "neumann")
-    x = fem.coords
-    u, _ = shift_nonnegative(np.exp(-250.0 * (x - 0.25) ** 2)
-                             - np.exp(-250.0 * (x - 0.75) ** 2))
+    fem, u = preset_signal
     chi = 500.0
-    kappa, phi = scsa._bound_states(u, chi, fem)
-    assert kappa.size == 8
+    basis = solve_schrodinger_eig(fem, u, chi, 16)
+    amplitudes = soliton_amplitudes(basis)
+    assert amplitudes.size == 8
     sweep = chi_sweep(u, [chi], 4, fem)
-    partial = np.cumsum((4.0 / chi) * phi[:, :4] ** 2 * kappa[:4], axis=1)
+    partial = np.cumsum(basis.B[:, :4] ** 2 * amplitudes[:4], axis=1)
     expect = [fem.norm(u - partial[:, n]) / fem.norm(u) for n in range(4)]
     assert [n for _, n, _ in sweep["soliton"].rows] == [1, 2, 3, 4]
     got = [err for _, _, err in sweep["soliton"].rows]
@@ -136,6 +147,36 @@ def test_chi_sweep_soliton_below_the_bound_state_count():
     # the eigen rows come from the same solve
     eig = chi_sweep(u, [chi], 4, fem, methods=("eigen",))["eigen"]
     assert sweep["eigen"].rows == eig.rows
+
+
+@pytest.mark.parametrize("method, chi, n",
+                         [("eigen", 250.0, 20), ("eigen", 250.0, 50), ("soliton", 500.0, 16)])
+def test_expansions_are_the_sweep_rows_bit_for_bit(preset_signal, method, chi, n):
+    # one path forms every expansion, so the same solve gives the same
+    # error (soliton_expansion's search ends on a 16-mode solve at chi = 500)
+    fem, u = preset_signal
+    expansion = (eigen_expansion(u, chi, n, fem) if method == "eigen"
+                 else soliton_expansion(u, chi, fem))
+    assert expansion[1] == chi_sweep(u, [chi], n, fem, methods=(method,))[method].rows[-1][2]
+
+
+def test_bound_state_rule_has_one_owner(monkeypatch, preset_signal):
+    # the KdV soliton count, the soliton expansion and the sweep's soliton
+    # rows all read eigenbasis.BOUND_STATE_TOL through soliton_amplitudes
+    fem, u = preset_signal
+    chi = 500.0
+    basis = solve_schrodinger_eig(fem, u, chi, 16)
+    between = -0.5 * (basis.lam[3] + basis.lam[4])  # cuts 8 bound states to 4
+    for tol, count in ((eigenbasis.BOUND_STATE_TOL, 8), (between, 4)):
+        monkeypatch.setattr(eigenbasis, "BOUND_STATE_TOL", tol)
+        np.testing.assert_array_equal(soliton_amplitudes(basis),
+                                      4.0 * np.sqrt(-basis.lam[:count]) / chi)
+        model = harness._make_model(ExperimentConfig(problem="kdv_soliton"), basis)
+        assert model.n_soliton == count
+        assert soliton_expansion(u, chi, fem)[2] == count
+        rows = chi_sweep(u, [chi], 10, fem, methods=("soliton",))["soliton"].rows
+        errs = [err for _, _, err in rows]
+        assert errs.index(errs[-1]) + 1 == count  # the sum stops growing after count states
 
 
 def test_chi_sweep_validates_input(interval, double_gaussian):
